@@ -205,44 +205,48 @@ def shamir_reconstruct(shares) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _sha256_counter_stream(label: bytes, seed: int, nbytes: int) -> bytes:
+    """First nbytes of SHA-256(SHA-256(label | seed) || counter_be64), counter = 0, 1, ...
+
+    The seed is hashed in its canonical big-endian byte encoding, and each
+    block digests the 32-byte base followed by the counter as 8 big-endian
+    bytes.
+    """
+    base = hashlib.sha256(hashlib.sha256(label + b"|" + _canonical_bytes(seed)).digest())
+    blocks = []
+    for counter in range(-(-nbytes // 32)):
+        block = base.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
+    return b"".join(blocks)[:nbytes]
+
+
 def prg_expand(seed: int, dim: int, modulus: int = MERSENNE61, frac_bits: int = 24) -> FieldVector:
     """Deterministically expand a seed into dim field elements.
 
-    SHA-256 in counter mode over the seed's canonical byte encoding; both
-    protocol parties holding the same seed derive the identical vector.
+    Keystream: SHA-256(SHA-256(b"prg|" + seed) || counter_be64) for counter
+    = 0, 1, ..., with the seed in its canonical big-endian bytes.  Element i
+    is the i-th big-endian 64-bit word of that stream reduced mod modulus, so
+    each 32-byte block yields four elements and a shorter expansion is a
+    prefix of a longer one.  Both protocol parties holding the same seed
+    derive the identical vector.
     """
     if dim < 1:
         raise ParameterError("dim must be >= 1")
-    base = hashlib.sha256(b"prg|" + _canonical_bytes(seed)).digest()
-    out = np.empty(dim, dtype=np.uint64)
-    produced = 0
-    counter = 0
-    while produced < dim:
-        block = hashlib.sha256(base + counter.to_bytes(8, "big")).digest()
-        for off in range(0, 32, 8):
-            if produced >= dim:
-                break
-            word = int.from_bytes(block[off : off + 8], "big")
-            out[produced] = word % modulus
-            produced += 1
-        counter += 1
-    return FieldVector(out, modulus, frac_bits)
+    stream = _sha256_counter_stream(b"prg", seed, 8 * dim)
+    words = np.frombuffer(stream, dtype=">u8", count=dim)
+    return FieldVector(words % np.uint64(modulus), modulus, frac_bits)
 
 
 def stream_xor(key_seed: int, data: bytes) -> bytes:
-    """XOR data with a SHA-256 counter-mode keystream derived from key_seed."""
-    base = hashlib.sha256(b"stream|" + _canonical_bytes(key_seed)).digest()
-    out = bytearray(len(data))
-    counter = 0
-    pos = 0
-    while pos < len(data):
-        block = hashlib.sha256(base + counter.to_bytes(8, "big")).digest()
-        chunk = min(32, len(data) - pos)
-        for i in range(chunk):
-            out[pos + i] = data[pos + i] ^ block[i]
-        pos += chunk
-        counter += 1
-    return bytes(out)
+    """XOR data with a SHA-256 counter-mode keystream derived from key_seed.
+
+    Keystream: SHA-256(SHA-256(b"stream|" + key_seed) || counter_be64) for
+    counter = 0, 1, ..., with the seed in its canonical big-endian bytes,
+    cut to len(data).  Applying it twice returns the data.
+    """
+    keystream = _sha256_counter_stream(b"stream", key_seed, len(data))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(len(data), "big")
 
 
 # ---------------------------------------------------------------------------

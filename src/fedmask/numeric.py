@@ -256,10 +256,12 @@ def encode_fixed(
 
 def decode_fixed(fv: FieldVector) -> np.ndarray:
     """Inverse of encode_fixed up to quantization; residues > p/2 are negative."""
-    half = fv.modulus // 2
-    r = fv.residues.astype(object)
-    signed = np.array([int(x) - fv.modulus if int(x) > half else int(x) for x in r], dtype=np.float64)
-    return signed / float(1 << fv.frac_bits)
+    p = np.uint64(fv.modulus)
+    negative = fv.residues > p // np.uint64(2)
+    # both branches are below 2^63, so the magnitude is exact in int64
+    magnitude = np.where(negative, p - fv.residues, fv.residues).astype(np.int64)
+    signed = np.where(negative, -magnitude, magnitude)
+    return signed.astype(np.float64) / float(1 << fv.frac_bits)
 
 
 def clip_for_encoding(v: np.ndarray, limit: float = ENCODE_CLIP) -> np.ndarray:

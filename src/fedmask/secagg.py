@@ -348,6 +348,7 @@ class ServerState:
     k: int
     dim: int
     frac_bits: int = 24
+    params: DhParams = RFC3526_2048
     round: int = 0
     adverts: dict = field(default_factory=dict)  # id -> KeyAdvert
     share_msgs: dict = field(default_factory=dict)  # id -> KeyShares
@@ -471,22 +472,11 @@ def _server_unmask_aggregate(state: ServerState) -> FieldVector:
         sk1_j = shamir_reconstruct(_collect_shares(state, j, "sk1"))
         for i in state.u3:
             pk1_i = state.adverts[i].pk1
-            secret = modexp(pk1_i, sk1_j, _params_of(state).prime)
+            secret = modexp(pk1_i, sk1_j, state.params.prime)
             m = pairwise_mask(secret, state.dim, state.frac_bits)
             # client i applied sign(i, j); remove that contribution
             total = field_sub(total, m) if i < j else field_add(total, m)
     return total
-
-
-_SERVER_PARAMS: dict[int, DhParams] = {}
-
-
-def _params_of(state: ServerState) -> DhParams:
-    return _SERVER_PARAMS.get(id(state), RFC3526_2048)
-
-
-def set_server_params(state: ServerState, params: DhParams) -> None:
-    _SERVER_PARAMS[id(state)] = params
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +570,7 @@ def run_protocol(
         cid: ClientState(cid=cid, weights=inputs[cid], k=k, params=params, rng=root.child("client", cid))
         for cid in range(n)
     }
-    server = ServerState(k=k, dim=dim, frac_bits=frac_bits)
-    set_server_params(server, params)
+    server = ServerState(k=k, dim=dim, frac_bits=frac_bits, params=params)
 
     log: list[dict] = []
     pending: dict[int, list] = {cid: [] for cid in clients}

@@ -1,6 +1,7 @@
 """Modular exponentiation, Diffie-Hellman, Shamir sharing, PRG expansion,
 stream cipher, Schnorr signatures, and the RSA homomorphism demo."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmask import secagg
 from fedmask.crypto import (
     DhParams,
     RFC3526_2048,
@@ -31,7 +33,7 @@ from fedmask.crypto import (
     stream_xor,
     verify,
 )
-from fedmask.numeric import ParameterError, Rng
+from fedmask.numeric import FieldVector, ParameterError, Rng
 
 
 def naive_modexp(base, exp, modulus):
@@ -265,6 +267,84 @@ def test_stream_xor_involution():
 def test_stream_xor_key_sensitivity():
     data = b"attack at dawn" * 3
     assert stream_xor(1, data) != stream_xor(2, data)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _canonical(value: int) -> bytes:
+    return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
+
+
+def reference_prg_expand(seed, dim, modulus=SHARING_PRIME, frac_bits=24):
+    # one word at a time: the layout prg_expand documents
+    base = hashlib.sha256(b"prg|" + _canonical(seed)).digest()
+    words = []
+    counter = 0
+    while len(words) < dim:
+        block = hashlib.sha256(base + counter.to_bytes(8, "big")).digest()
+        words += [int.from_bytes(block[off : off + 8], "big") % modulus for off in range(0, 32, 8)]
+        counter += 1
+    return FieldVector(np.array(words[:dim], dtype=np.uint64), modulus, frac_bits)
+
+
+def reference_stream_xor(key_seed, data):
+    base = hashlib.sha256(b"stream|" + _canonical(key_seed)).digest()
+    out = bytearray()
+    for counter in range(-(-len(data) // 32)):
+        block = hashlib.sha256(base + counter.to_bytes(8, "big")).digest()
+        out += bytes(d ^ k for d, k in zip(data[32 * counter : 32 * counter + 32], block))
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "seed, dim, kwargs, digest",
+    [
+        (42, 10, {}, "de2b15980b970682"),
+        (987654321, 8193, {}, "172c0e47028c6445"),
+        (7, 50, {"modulus": 8380417}, "8eac81f3ecfe3c5a"),
+    ],
+)
+def test_prg_known_answers(seed, dim, kwargs, digest):
+    assert _digest(prg_expand(seed, dim, **kwargs).residues.astype("<u8").tobytes()) == digest
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1, "8a8de823d5ed3e12"),
+        (31, "93bdeb5339299e2d"),
+        (32, "f93e9a07bdbef6da"),
+        (33, "c24e92e89d0f634c"),
+        (500, "c5aa87411176a1d9"),
+    ],
+)
+def test_stream_xor_known_answers(n, digest):
+    assert _digest(stream_xor(12345, bytes(i % 256 for i in range(n)))) == digest
+
+
+def test_transcript_known_answer():
+    # pins every PRG mask and every encrypted share bundle of a round with a dropout
+    inputs = [Rng(1).child(i).uniform(-1, 1, 37) for i in range(5)]
+    run = secagg.run_protocol(inputs, 3, seed=11, dropout_after={0: 1}, params=TOY_GROUP)
+    assert _digest(run.transcript.to_jsonl().encode()) == "81e12b8ae6e33f9e"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**70),
+    dim=st.integers(1, 70),
+    modulus=st.sampled_from([2, 8380417, SHARING_PRIME, 2**63 - 25, 2**64 - 59]),
+)
+def test_property_prg_matches_reference(seed, dim, modulus):
+    assert prg_expand(seed, dim, modulus=modulus) == reference_prg_expand(seed, dim, modulus=modulus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.integers(0, 2**70), data=st.binary(max_size=130))
+def test_property_stream_xor_matches_reference(key, data):
+    assert stream_xor(key, data) == reference_stream_xor(key, data)
 
 
 def test_seed_from_secret_deterministic_and_label_separated():

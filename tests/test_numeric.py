@@ -160,6 +160,33 @@ def test_round_trip_all_frac_bits(frac_bits):
     assert np.max(np.abs(back - v)) <= 2.0 ** -frac_bits
 
 
+def reference_decode(residues, modulus, frac_bits):
+    # pure-integer signed lift, then one rounding to float and one exact scaling
+    return [float(r - modulus if r > modulus // 2 else r) / float(1 << frac_bits) for r in residues]
+
+
+@pytest.mark.parametrize("modulus", [MERSENNE61, 8380417, 2**64 - 59])
+@pytest.mark.parametrize("frac_bits", [16, 24])
+def test_decode_boundary_residues_match_integer_reference(modulus, frac_bits):
+    half = modulus // 2
+    residues = [0, 1, half - 1, half, half + 1, half + 2, modulus - 1]
+    fv = FieldVector(np.array(residues, dtype=np.uint64), modulus, frac_bits)
+    out = decode_fixed(fv)
+    assert out.dtype == np.float64
+    assert out.tolist() == reference_decode(residues, modulus, frac_bits)
+    assert out[3] > 0 > out[4]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    residues=st.lists(st.integers(0, MERSENNE61 - 1), min_size=1, max_size=40),
+    frac_bits=st.sampled_from([0, 16, 24, 32]),
+)
+def test_property_decode_matches_integer_reference(residues, frac_bits):
+    fv = FieldVector(np.array(residues, dtype=np.uint64), MERSENNE61, frac_bits)
+    assert decode_fixed(fv).tolist() == reference_decode(residues, MERSENNE61, frac_bits)
+
+
 def test_field_add_matches_float_addition():
     for seed in range(20):
         rng = Rng(seed).child("fa")
