@@ -326,8 +326,3 @@ def _points_on_low_degree_poly(points, k: int, prime: int) -> bool:
         if acc != y % prime:
             return False
     return True
-
-
-def masked_value_candidates(observed: int, modulus: int) -> list[int]:
-    """Inputs consistent with an observed one-time-masked residue: all of them."""
-    return [x for x in range(modulus) if any((x + m) % modulus == observed for m in range(modulus))]

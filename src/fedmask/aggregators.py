@@ -114,17 +114,6 @@ def centered_clip(vectors, v0, tau: float, iters: int = 1) -> np.ndarray:
     return nu
 
 
-def worker_momentum(grad, prev_beta, zeta_t: float) -> np.ndarray:
-    """Exponential moving average of gradients shared in place of gradients."""
-    if not (0.0 <= zeta_t <= 1.0):
-        raise ParameterError("zeta_t must lie in [0, 1]")
-    g = as_vector(grad)
-    b = as_vector(prev_beta)
-    if g.shape != b.shape:
-        raise ParameterError("gradient and momentum dims differ")
-    return (1.0 - zeta_t) * g + zeta_t * b
-
-
 def bulyan(vectors, d: int, inner: str = "krum") -> np.ndarray:
     """Recursive selection via the inner rule, then per-coordinate averaging
     of the values closest to the coordinate-wise median.

@@ -5,8 +5,7 @@ of a bigram language model, each runnable with and without weight masking.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class ReconstructionReport:
     final_mse: float
     trace: list  # per-iteration gradient-difference objective values
     success: bool
-    wall_time: float
     recovered_x: np.ndarray | None = None
     recovered_y: np.ndarray | None = None
     aborted: str | None = None
@@ -91,7 +89,6 @@ def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgC
     finite-difference gradient with a backtracking step size.  The ground
     truth is used only for the post-hoc reconstruction error.
     """
-    start = time.perf_counter()
     din, dout = model.input_dim, model.output_dim
     known_grad = np.asarray(known_grad, dtype=np.float64)
     rng = Rng(cfg.seed).child("dlg-init")
@@ -133,7 +130,6 @@ def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgC
         final_mse=mse,
         trace=trace,
         success=aborted is None and mse < cfg.mse_threshold,
-        wall_time=time.perf_counter() - start,
         recovered_x=x_rec,
         recovered_y=y_rec,
         aborted=aborted,

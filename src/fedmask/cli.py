@@ -1,99 +1,61 @@
 """Command-line front end: run scenarios, sweeps, attack batteries, the mask
 cancellation check, and transcript replay verification.
 
-Exit codes: 0 success, 2 configuration error, 3 assertion/verification
-failure.
+Exit codes: 0 success, 2 configuration error or unreadable file, 3 failed
+check (a scenario's pass/fail check, or a replay mismatch).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
-import numpy as np
-
-from . import harness, secagg
+from . import harness
 from .harness import ConfigError, ScenarioConfig, load_scenario, scenario_from_dict
-from .numeric import as_vector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSERTION = 3
 
 
-def write_pgm(vector, path: str, shape: tuple[int, int] = (8, 8)) -> None:
-    """Render a flat vector as an 8-bit grayscale PGM image."""
-    v = as_vector(vector)
-    if v.shape[0] != shape[0] * shape[1]:
-        raise ConfigError(f"vector length {v.shape[0]} does not fill a {shape} image")
-    lo, hi = float(np.min(v)), float(np.max(v))
-    scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    pixels = np.clip((v - lo) * scale, 0, 255).astype(np.uint8).reshape(shape)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{shape[1]} {shape[0]}\n255\n".encode())
-        fh.write(pixels.tobytes())
-
-
-def _load_config(args, kind: str | None = None) -> ScenarioConfig:
+def _load_config(args) -> ScenarioConfig:
     if args.config:
         cfg = load_scenario(args.config)
     else:
         cfg = scenario_from_dict({})
     overrides = {}
-    if kind is not None:
-        overrides["kind"] = kind
+    if args.kind is not None:
+        overrides["kind"] = args.kind
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    if getattr(args, "out", None):
+    if args.out:
         overrides["output_dir"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
 
 
-def _emit(report, args) -> None:
+def cmd_run(args) -> int:
+    """Run the scenario (or the subcommand's kind), print it, apply its check."""
+    cfg = _load_config(args)
+    report = harness.run_scenario(cfg)
     print(report.to_csv(), end="")
     for key, value in report.summary.items():
         print(f"# {key}: {value}")
-
-
-def cmd_run(args) -> int:
-    report = harness.run_scenario(_load_config(args))
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    report = harness.run_scenario(_load_config(args, kind="alpha_sweep"))
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_attack(args) -> int:
-    report = harness.run_scenario(_load_config(args, kind="attack_demo"))
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_clt_check(args) -> int:
-    report = harness.run_scenario(_load_config(args, kind="clt_check"))
-    _emit(report, args)
-    if report.summary["max_rel_err"] > 0.10:
-        print("# FAIL: empirical mask-mean std deviates more than 10% from prediction")
+    failure = harness.SCENARIOS[cfg.kind].check(report)
+    if failure:
+        print(f"# FAIL: {failure}")
         return EXIT_ASSERTION
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
     """Re-execute a recorded protocol round and verify byte-identity."""
-    cfg = _load_config(args, kind="secagg_run")
+    cfg = _load_config(args)
     with open(args.transcript, encoding="utf-8") as fh:
         recorded = fh.read().rstrip("\n")
-    seed = cfg.seeds[0]
-    inputs = harness._scenario_inputs(cfg, seed)
-    transcript = secagg.run_secagg(inputs, cfg.k, seed=seed, dropout_after=cfg.dropout_after)
+    _, transcript = harness.secagg_round(cfg, cfg.seeds[0])
     if transcript.to_jsonl() != recorded:
         print("replay mismatch: transcript does not reproduce byte-for-byte")
         return EXIT_ASSERTION
@@ -103,10 +65,8 @@ def cmd_replay(args) -> int:
 
 def cmd_record(args) -> int:
     """Run one protocol round and write its transcript for later replay."""
-    cfg = _load_config(args, kind="secagg_run")
-    seed = cfg.seeds[0]
-    inputs = harness._scenario_inputs(cfg, seed)
-    transcript = secagg.run_secagg(inputs, cfg.k, seed=seed, dropout_after=cfg.dropout_after)
+    cfg = _load_config(args)
+    _, transcript = harness.secagg_round(cfg, cfg.seeds[0])
     with open(args.transcript, "w", encoding="utf-8") as fh:
         fh.write(transcript.to_jsonl() + "\n")
     print(f"wrote transcript ({len(transcript.messages)} messages) to {args.transcript}")
@@ -117,40 +77,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedmask", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, transcript=False):
+    def command(name, summary, func, kind=None, transcript=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="path to a JSON scenario config")
         p.add_argument("--seed", type=int, help="override the seed battery with one seed")
         p.add_argument("--out", help="output directory for reports")
         if transcript:
             p.add_argument("--transcript", required=True, help="transcript JSONL path")
+        p.set_defaults(func=func, kind=kind)
 
-    common(sub.add_parser("run", help="run the scenario in the config file"))
-    common(sub.add_parser("sweep", help="client-count x alpha accuracy sweep"))
-    common(sub.add_parser("attack", help="adversary strategy battery"))
-    common(sub.add_parser("clt-check", help="mask-mean cancellation check"))
-    common(sub.add_parser("replay", help="verify a recorded transcript"), transcript=True)
-    common(sub.add_parser("record", help="record a protocol transcript"), transcript=True)
+    command("run", "run the scenario in the config file", cmd_run)
+    for kind, scenario in harness.SCENARIOS.items():
+        if scenario.alias:
+            command(scenario.alias, f"run with the config's kind set to {kind}", cmd_run, kind)
+    command("replay", "verify a recorded transcript", cmd_replay, "secagg_run", transcript=True)
+    command("record", "record a protocol transcript", cmd_record, "secagg_run", transcript=True)
     return parser
-
-
-_COMMANDS = {
-    "run": cmd_run,
-    "sweep": cmd_sweep,
-    "attack": cmd_attack,
-    "clt-check": cmd_clt_check,
-    "replay": cmd_replay,
-    "record": cmd_record,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,6 +1,5 @@
 """Modular-arithmetic primitives for the aggregation protocol: Diffie-Hellman,
-Shamir threshold sharing, PRG mask expansion, Schnorr signatures, and an RSA
-multiplicative-homomorphism demonstration.
+Shamir threshold sharing, PRG mask expansion, and Schnorr signatures.
 
 Everything here is simulation-grade.  No constant-time guarantees, no side
 channel resistance, and key sizes are chosen for determinism and speed, not
@@ -291,52 +290,3 @@ def _verify_cached(message: bytes, commitment: int, response: int, pk: int, prim
     lhs = modexp(generator, response, prime)
     rhs = (commitment * modexp(pk, e, prime)) % prime
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# RSA homomorphism demonstration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RsaKeys:
-    n: int
-    e: int
-    d: int
-
-
-def rsa_keys_from_primes(p: int, q: int, e: int) -> RsaKeys:
-    n = p * q
-    lam = _lcm(p - 1, q - 1)
-    d = pow(e, -1, lam)
-    return RsaKeys(n=n, e=e, d=d)
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
-
-
-def rsa_encrypt(m: int, keys: RsaKeys) -> int:
-    return modexp(m, keys.e, keys.n)
-
-
-def rsa_decrypt(c: int, keys: RsaKeys) -> int:
-    return modexp(c, keys.d, keys.n)
-
-
-@dataclass(frozen=True)
-class HomomorphismRecord:
-    lhs: int  # enc(m1) * enc(m2) mod n
-    rhs: int  # enc(m1 * m2)
-    equal: bool
-
-
-def rsa_homomorphism_demo(m1: int, m2: int, keys: RsaKeys) -> HomomorphismRecord:
-    """enc(m1) * enc(m2) == enc(m1 * m2) mod n: multiplicative homomorphism."""
-    if m1 * m2 >= keys.n:
-        raise ParameterError("message product overflows the RSA modulus")
-    lhs = (rsa_encrypt(m1, keys) * rsa_encrypt(m2, keys)) % keys.n
-    rhs = rsa_encrypt(m1 * m2, keys)
-    return HomomorphismRecord(lhs=lhs, rhs=rhs, equal=lhs == rhs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import aggregators
 from .models import Batch, TinyModel, backward, flatten, unflatten
-from .numeric import ParameterError, Rng, uniform_mask, vec_mean
+from .numeric import ParameterError, Rng, uniform_mask
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,6 @@ def masked_client_update(
     """client_update plus a single uniform mask applied after all local steps."""
     w = client_update(model, inputs, labels, t_local, eta, loss)
     return w + uniform_mask(w.shape[0], alpha, rng)
-
-
-def fedavg_round(client_weights) -> np.ndarray:
-    """Unweighted coordinate-wise mean of client weight vectors."""
-    return vec_mean(client_weights)
 
 
 def run_fedavg(model: TinyModel, partitions, cfg: FedConfig, rng: Rng) -> TinyModel:

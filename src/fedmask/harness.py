@@ -13,11 +13,14 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from . import adversary, fedcore, secagg
-from .data import GLYPH_CLASSES, GLYPH_DIM, make_glyphs
+from . import adversary, aggregators, fedcore, secagg
+from .data import GLYPH_CLASSES, GLYPH_DIM, make_glyphs, partition
 from .models import TinyModel, accuracy, flatten, init_model, sgd_step, unflatten
 from .models import Batch
 from .numeric import ParameterError, Rng, uniform_mask, vec_mean
@@ -25,15 +28,38 @@ from .numeric import ParameterError, Rng, uniform_mask, vec_mean
 REPORT_SCHEMA_VERSION = 1
 CSV_SCHEMA_VERSION = 1
 
-KINDS = ("secagg_run", "attack_demo", "fed_training", "alpha_sweep", "clt_check")
-
 # Sweep grid defaults: client counts and mask levels of the headline sweep.
 DEFAULT_CLIENT_COUNTS = (10, 100, 1000)
 DEFAULT_ALPHAS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 1.0)
 
+# fed_training partitions this many glyph examples per class among its clients.
+FED_GLYPHS_PER_CLASS = 10
+
 
 class ConfigError(ValueError):
     """Scenario configuration rejected; the message names the field."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# (what the value must be, its check, the fields it applies to)
+_FIELD_TYPES = (
+    ("an integer", _is_int, ("n", "k", "dim", "sybil_count", "retry_limit", "n_mask_seeds")),
+    ("a number", _is_number, ("alpha",)),
+    ("a string", lambda v: isinstance(v, str), ("kind", "strategy", "aggregator")),
+    ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+     ("client_counts", "controlled_ids", "seeds")),
+    ("a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_number, v)), ("alphas",)),
+    ("an object", lambda v: isinstance(v, dict), ("aggregator_params", "dropout_after")),
+    ("an integer or null", lambda v: v is None or _is_int(v), ("round_size",)),
+    ("a string or null", lambda v: v is None or isinstance(v, str), ("output_dir",)),
+)
 
 
 @dataclass(frozen=True)
@@ -58,10 +84,17 @@ class ScenarioConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        # types first, so the range checks below compare like with like
+        for what, ok, names in _FIELD_TYPES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ConfigError(f"{name}: must be {what}")
+        if self.kind not in SCENARIOS:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         if self.n < 2:
             raise ConfigError("n: need at least 2 clients")
+        if self.kind == "fed_training" and self.n > FED_GLYPHS_PER_CLASS * GLYPH_CLASSES:
+            raise ConfigError(f"n: fed_training has {FED_GLYPHS_PER_CLASS * GLYPH_CLASSES} examples to split, got {self.n}")
         if not (1 <= self.k <= self.n):
             raise ConfigError(f"k: need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.dim < 1:
@@ -72,12 +105,28 @@ class ScenarioConfig:
             raise ConfigError("alphas: list must be nonempty")
         if any(not (0.0 <= a <= 1.0) for a in self.alphas):
             raise ConfigError("alphas: every entry must lie in [0, 1]")
+        if any(c < 1 for c in self.client_counts):
+            raise ConfigError("client_counts: every entry must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds: list must be nonempty")
+        if any(not (0 <= s < 2**64) for s in self.seeds):
+            raise ConfigError("seeds: every entry must lie in [0, 2^64)")
+        if self.n_mask_seeds < 2:
+            raise ConfigError("n_mask_seeds: need at least 2 seeds")
         if self.strategy not in adversary.STRATEGIES:
             raise ConfigError(f"strategy: unknown strategy {self.strategy!r}")
+        if self.retry_limit < 1:
+            raise ConfigError("retry_limit: must be >= 1")
+        if len(set(self.controlled_ids)) != len(self.controlled_ids):
+            raise ConfigError("controlled_ids: duplicate client id")
+        if any(not (0 <= c < self.n) for c in self.controlled_ids):
+            raise ConfigError("controlled_ids: every entry must lie in [0, n)")
+        if self.round_size is not None and not (1 <= self.round_size <= self.n):
+            raise ConfigError(f"round_size: need 1 <= round_size <= n, got {self.round_size}")
+        if self.aggregator not in aggregators.AGGREGATORS:
+            raise ConfigError(f"aggregator: unknown aggregator {self.aggregator!r}")
         for cid, rnd in self.dropout_after.items():
-            if not (0 <= int(cid) < self.n) or not (0 <= int(rnd) <= 4):
+            if not (_is_int(cid) and _is_int(rnd) and 0 <= cid < self.n and 0 <= rnd <= 4):
                 raise ConfigError(f"dropout_after: bad entry {cid!r}: {rnd!r}")
 
 
@@ -92,17 +141,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"{unknown[0]}: unknown configuration key")
     kwargs = dict(data)
     for name in _TUPLE_FIELDS & set(kwargs):
-        kwargs[name] = tuple(kwargs[name])
-    if "dropout_after" in kwargs:
-        kwargs["dropout_after"] = {int(k): int(v) for k, v in kwargs["dropout_after"].items()}
+        if isinstance(kwargs[name], list):
+            kwargs[name] = tuple(kwargs[name])
+    dropout = kwargs.get("dropout_after")
+    if isinstance(dropout, dict):
+        # JSON object keys are strings; client ids are integers
+        try:
+            kwargs["dropout_after"] = {int(k): v for k, v in dropout.items()}
+        except ValueError as exc:
+            raise ConfigError(f"dropout_after: client ids must be integers ({exc})") from exc
     # the output directory is the one environment override
     env_out = os.environ.get("FEDMASK_OUTPUT_DIR")
     if env_out:
         kwargs["output_dir"] = env_out
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**kwargs)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -222,7 +274,6 @@ def clt_check(n: int, alpha: float, dim: int = 100, n_seeds: int = 30, seed: int
 # ---------------------------------------------------------------------------
 
 GLYPH_MODEL_SIZES = (GLYPH_DIM, 32, GLYPH_CLASSES)
-_BASELINE_CACHE: dict = {}
 
 
 def glyph_eval_set(seed: int = 7):
@@ -230,6 +281,7 @@ def glyph_eval_set(seed: int = 7):
     return make_glyphs(20, rng)
 
 
+@lru_cache(maxsize=None)
 def pretrained_glyph_model(seed: int = 7, steps: int = 800, eta: float = 0.5, clip: float = 0.1) -> TinyModel:
     """A small classifier trained to high accuracy on the bundled glyph task.
 
@@ -238,9 +290,6 @@ def pretrained_glyph_model(seed: int = 7, steps: int = 800, eta: float = 0.5, cl
     individually destructive while their client-average still cancels out.
     Deterministic and cached per hyperparameter tuple; sweeps reuse one model.
     """
-    key = (seed, steps, eta, clip)
-    if key in _BASELINE_CACHE:
-        return _BASELINE_CACHE[key]
     rng = Rng(seed)
     inputs, labels = make_glyphs(30, rng.child("train-data"))
     model = init_model(GLYPH_MODEL_SIZES, activation="tanh", rng=rng.child("init"))
@@ -250,7 +299,6 @@ def pretrained_glyph_model(seed: int = 7, steps: int = 800, eta: float = 0.5, cl
         idx = order_rng.choice(n, 32, replace=False)
         model = sgd_step(model, Batch(inputs=inputs[idx], labels=labels[idx]), eta, "cross_entropy")
         model = unflatten(model, np.clip(flatten(model), -clip, clip))
-    _BASELINE_CACHE[key] = model
     return model
 
 
@@ -315,19 +363,21 @@ def _scenario_inputs(cfg: ScenarioConfig, seed: int):
     return [rng.child(i).uniform(-1.0, 1.0, cfg.dim) for i in range(cfg.n)]
 
 
-def _strategy_from_config(cfg: ScenarioConfig) -> adversary.AdversaryStrategy:
-    return adversary.AdversaryStrategy(
-        kind=cfg.strategy,
-        sybil_count=cfg.sybil_count,
-        controlled_ids=tuple(cfg.controlled_ids),
-        retry_limit=cfg.retry_limit,
-        round_size=cfg.round_size,
-    )
+def secagg_round(cfg: ScenarioConfig, seed: int):
+    """One seed's client inputs and the transcript of one protocol round on them."""
+    inputs = _scenario_inputs(cfg, seed)
+    return inputs, secagg.run_protocol(inputs, cfg.k, seed=seed, dropout_after=cfg.dropout_after).transcript
 
 
 def attack_battery(cfg: ScenarioConfig) -> ExperimentReport:
     """Run the configured adversary strategy across the seed battery."""
-    strategy = _strategy_from_config(cfg)
+    strategy = adversary.AdversaryStrategy(
+        kind=cfg.strategy,
+        sybil_count=cfg.sybil_count,
+        controlled_ids=cfg.controlled_ids,
+        retry_limit=cfg.retry_limit,
+        round_size=cfg.round_size,
+    )
     rows = []
     successes = 0
     for s in cfg.seeds:
@@ -348,8 +398,7 @@ def secagg_report(cfg: ScenarioConfig) -> ExperimentReport:
     max_dev = 0.0
     aborts = 0
     for s in cfg.seeds:
-        inputs = _scenario_inputs(cfg, s)
-        transcript = secagg.run_secagg(inputs, cfg.k, seed=s, dropout_after=cfg.dropout_after)
+        inputs, transcript = secagg_round(cfg, s)
         if transcript.aborted:
             aborts += 1
             rows.append((s, True, transcript.abort_reason, float("nan")))
@@ -367,14 +416,12 @@ def secagg_report(cfg: ScenarioConfig) -> ExperimentReport:
 
 
 def fed_training_report(cfg: ScenarioConfig) -> ExperimentReport:
-    from .data import partition
-
     model = pretrained_glyph_model()
     eval_inputs, eval_labels = glyph_eval_set()
     rows = []
     for s in cfg.seeds:
         rng = Rng(s)
-        inputs, labels = make_glyphs(10, rng.child("data"))
+        inputs, labels = make_glyphs(FED_GLYPHS_PER_CLASS, rng.child("data"))
         parts = partition(inputs, labels, cfg.n, rng.child("partition"))
         fed_cfg = fedcore.FedConfig(
             n_clients=cfg.n,
@@ -411,20 +458,36 @@ def clt_report(cfg: ScenarioConfig) -> ExperimentReport:
     )
 
 
+def _clt_failure(report: ExperimentReport) -> str | None:
+    if report.summary["max_rel_err"] > 0.10:
+        return "empirical mask-mean std deviates more than 10% from prediction"
+    return None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    build: Callable[[ScenarioConfig], ExperimentReport]
+    alias: str | None = None  # CLI subcommand that runs this kind directly
+    # pass/fail rule on the finished report: a failure message, or None
+    check: Callable[[ExperimentReport], str | None] = lambda report: None
+
+
+# The one list of scenario kinds: config validation, run_scenario and the CLI
+# subcommands are all derived from it.
+SCENARIOS = {
+    "secagg_run": Scenario(secagg_report),
+    "attack_demo": Scenario(attack_battery, alias="attack"),
+    "fed_training": Scenario(fed_training_report),
+    "alpha_sweep": Scenario(alpha_sweep, alias="sweep"),
+    "clt_check": Scenario(clt_report, alias="clt-check", check=_clt_failure),
+}
+
+
 def run_scenario(cfg: ScenarioConfig) -> ExperimentReport:
-    """Dispatch a validated scenario to its implementation."""
-    dispatch = {
-        "secagg_run": secagg_report,
-        "attack_demo": attack_battery,
-        "fed_training": fed_training_report,
-        "alpha_sweep": alpha_sweep,
-        "clt_check": clt_report,
-    }
-    report = dispatch[cfg.kind](cfg)
+    """Run a validated scenario through its table row; optionally save reports."""
+    report = SCENARIOS[cfg.kind].build(cfg)
     if cfg.output_dir:
         base = os.path.join(cfg.output_dir, f"{cfg.kind}-report")
-        from datetime import datetime, timezone
-
         stamp = datetime.now(timezone.utc).isoformat()
         write_atomic(base + ".json", report.to_json(timestamp=stamp))
         write_atomic(base + ".csv", report.to_csv())

@@ -7,9 +7,7 @@ gradient differences remain tractable with plain numpy.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,43 +227,6 @@ def accuracy(model: TinyModel, inputs: np.ndarray, labels: np.ndarray) -> float:
     out = forward_batch(model, inputs)
     pred = np.argmax(out, axis=1)
     return float(np.mean(pred == np.asarray(labels)))
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-_CKPT_MAGIC = b"TMDL"
-_ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
-
-
-def model_to_bytes(model: TinyModel) -> bytes:
-    """Binary layout: magic, u8 activation, u32 n_sizes, sizes, LE float64 params."""
-    head = _CKPT_MAGIC + struct.pack("<BI", _ACT_CODE[model.activation], len(model.sizes))
-    head += struct.pack(f"<{len(model.sizes)}I", *model.sizes)
-    return head + flatten(model).astype("<f8").tobytes()
-
-
-def model_from_bytes(data: bytes) -> TinyModel:
-    if data[:4] != _CKPT_MAGIC:
-        raise ParameterError("not a model checkpoint")
-    act_code, n_sizes = struct.unpack_from("<BI", data, 4)
-    sizes = struct.unpack_from(f"<{n_sizes}I", data, 9)
-    offset = 9 + 4 * n_sizes
-    skeleton = init_model(sizes, ACTIVATIONS[act_code], Rng(0))
-    flat = np.frombuffer(data, dtype="<f8", offset=offset, count=skeleton.param_count)
-    return unflatten(skeleton, np.array(flat))
-
-
-def model_debug_json(model: TinyModel) -> str:
-    return json.dumps(
-        {
-            "sizes": list(model.sizes),
-            "activation": model.activation,
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-        }
-    )
 
 
 # ---------------------------------------------------------------------------

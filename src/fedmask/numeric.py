@@ -9,8 +9,6 @@ cancels exactly, with no floating-point drift.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,18 +139,6 @@ def vec_mean(vectors) -> np.ndarray:
     return np.mean(np.stack(vs), axis=0)
 
 
-def vector_to_bytes(v: np.ndarray) -> bytes:
-    """Little-endian binary layout: u32 dim, then dim float64 values."""
-    v = as_vector(v)
-    return struct.pack("<I", v.shape[0]) + v.astype("<f8").tobytes()
-
-
-def vector_from_bytes(data: bytes) -> np.ndarray:
-    (dim,) = struct.unpack_from("<I", data, 0)
-    v = np.frombuffer(data, dtype="<f8", count=dim, offset=4)
-    return as_vector(np.array(v))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point prime field
 # ---------------------------------------------------------------------------
@@ -267,26 +253,3 @@ def decode_fixed(fv: FieldVector) -> np.ndarray:
 def clip_for_encoding(v: np.ndarray, limit: float = ENCODE_CLIP) -> np.ndarray:
     """Clip weights to the documented range before field encoding."""
     return np.clip(as_vector(v), -limit, limit)
-
-
-def field_to_bytes(fv: FieldVector) -> bytes:
-    """Little-endian layout: u64 p, u32 f, u32 dim, then dim u64 residues."""
-    head = struct.pack("<QII", fv.modulus, fv.frac_bits, fv.dim)
-    return head + fv.residues.astype("<u8").tobytes()
-
-
-def field_from_bytes(data: bytes) -> FieldVector:
-    modulus, frac_bits, dim = struct.unpack_from("<QII", data, 0)
-    residues = np.frombuffer(data, dtype="<u8", count=dim, offset=16)
-    return FieldVector(np.array(residues), modulus, frac_bits)
-
-
-def field_debug_json(fv: FieldVector) -> str:
-    """JSON debug form with residues as decimal strings."""
-    return json.dumps(
-        {
-            "modulus": str(fv.modulus),
-            "frac_bits": fv.frac_bits,
-            "residues": [str(int(r)) for r in fv.residues],
-        }
-    )

@@ -26,7 +26,6 @@ from .crypto import (
     KeyPair,
     RFC3526_2048,
     ShamirShare,
-    SHARING_PRIME,
     dh_shared_secret,
     generate_keypair,
     modexp,
@@ -615,15 +614,3 @@ def run_protocol(
         abort_reason=server.abort_reason,
     )
     return ProtocolRun(transcript=transcript, clients=clients, server=server)
-
-
-def run_secagg(
-    inputs,
-    k: int,
-    seed: int = 0,
-    dropout_after: dict | None = None,
-    params: DhParams = RFC3526_2048,
-    frac_bits: int = 24,
-) -> RoundTranscript:
-    """run_protocol, returning only the transcript."""
-    return run_protocol(inputs, k, seed, dropout_after, params, frac_bits).transcript

@@ -42,7 +42,7 @@ from fedmask.harness import (
 )
 from fedmask.models import Batch, backward, flatten, init_model, train_bigram, unflatten
 from fedmask.numeric import Rng, encode_fixed, field_sum, uniform_mask, vec_mean
-from fedmask.secagg import run_secagg
+from fedmask.secagg import run_protocol
 
 
 def report(num, label, elapsed, budget):
@@ -66,7 +66,7 @@ def test_criterion_01_aggregation_bit_exact_across_grid():
                 # dropped clients complete key sharing, then vanish: their
                 # dangling pairwise masks must be reconstructed and removed
                 dropout = {i: 1 for i in range(drops)}
-                t = run_secagg(inputs, k, seed=7, dropout_after=dropout, params=TOY_GROUP)
+                t = run_protocol(inputs, k, seed=7, dropout_after=dropout, params=TOY_GROUP).transcript
                 assert not t.aborted, (n, dim, drops, t.abort_reason)
                 assert t.included == tuple(range(drops, n))
                 expected = field_sum([encode_fixed(inputs[i]) for i in t.included])

@@ -7,7 +7,6 @@ import pytest
 from fedmask.adversary import (
     AdversaryStrategy,
     AttackScenario,
-    masked_value_candidates,
     run_attack,
     run_mitm,
     run_share_compromise,
@@ -201,8 +200,3 @@ def test_shamir_candidates_at_threshold_pins_secret():
 
 def test_shamir_candidates_no_shares():
     assert shamir_candidates([], 13) == list(range(13))
-
-
-def test_masked_value_candidates_cover_everything():
-    # a one-time additive mask makes every input consistent with any residue
-    assert masked_value_candidates(observed=7, modulus=11) == list(range(11))

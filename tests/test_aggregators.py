@@ -19,7 +19,6 @@ from fedmask.aggregators import (
     krum_index,
     krum_scores,
     trimmed_mean,
-    worker_momentum,
 )
 from fedmask.numeric import ParameterError, Rng, uniform_mask, vec_mean
 
@@ -196,28 +195,6 @@ def test_centered_clip_validation():
         centered_clip([np.zeros(2)], np.zeros(2), tau=1.0, iters=0)
     with pytest.raises(ParameterError):
         centered_clip([np.zeros(2)], np.zeros(3), tau=1.0)
-
-
-def test_worker_momentum_endpoints():
-    g = np.array([1.0, 2.0])
-    b = np.array([-3.0, 4.0])
-    assert np.array_equal(worker_momentum(g, b, 0.0), g)
-    assert np.array_equal(worker_momentum(g, b, 1.0), b)
-
-
-def test_worker_momentum_converges_to_constant_gradient():
-    g = np.array([0.7, -0.2, 1.5])
-    beta = np.zeros(3)
-    for _ in range(200):
-        beta = worker_momentum(g, beta, 0.9)
-    assert np.max(np.abs(beta - g)) < 1e-6
-
-
-def test_worker_momentum_validation():
-    with pytest.raises(ParameterError):
-        worker_momentum(np.zeros(2), np.zeros(2), 1.5)
-    with pytest.raises(ParameterError):
-        worker_momentum(np.zeros(2), np.zeros(3), 0.5)
 
 
 # ---------------------------------------------------------------------------

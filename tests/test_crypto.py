@@ -1,5 +1,5 @@
 """Modular exponentiation, Diffie-Hellman, Shamir sharing, PRG expansion,
-stream cipher, Schnorr signatures, and the RSA homomorphism demo."""
+stream cipher, and Schnorr signatures."""
 
 import hashlib
 import itertools
@@ -22,10 +22,6 @@ from fedmask.crypto import (
     generate_keypair,
     modexp,
     prg_expand,
-    rsa_decrypt,
-    rsa_encrypt,
-    rsa_homomorphism_demo,
-    rsa_keys_from_primes,
     seed_from_secret,
     shamir_reconstruct,
     shamir_split,
@@ -390,30 +386,3 @@ def test_schnorr_big_group():
     kp = generate_keypair(RFC3526_2048, Rng(12).child("kp"))
     msg = b"roster|0,1,2"
     assert verify(msg, sign(msg, kp.sk, RFC3526_2048), kp.pk, RFC3526_2048)
-
-
-# ---------------------------------------------------------------------------
-# RSA homomorphism
-# ---------------------------------------------------------------------------
-
-
-def test_rsa_textbook_homomorphism():
-    keys = rsa_keys_from_primes(61, 53, 17)
-    assert keys.n == 3233
-    rec = rsa_homomorphism_demo(2, 3, keys)
-    assert rec.equal
-    assert rec.lhs == rsa_encrypt(6, keys)
-
-
-def test_rsa_round_trip_random():
-    keys = rsa_keys_from_primes(61, 53, 17)
-    rng = Rng(13).child("rsa")
-    for _ in range(100):
-        m = rng.randbelow(keys.n)
-        assert rsa_decrypt(rsa_encrypt(m, keys), keys) == m
-
-
-def test_rsa_overflow_rejected():
-    keys = rsa_keys_from_primes(61, 53, 17)
-    with pytest.raises(ParameterError):
-        rsa_homomorphism_demo(100, 100, keys)

@@ -15,7 +15,6 @@ from fedmask.fedcore import (
     client_update,
     compose_privacy,
     dp_sgd,
-    fedavg_round,
     masked_client_update,
     masked_dp_sgd,
     run_fedavg,
@@ -102,14 +101,6 @@ def test_masked_update_mask_bounded():
     plain = client_update(model, inputs, labels, 1, 0.1)
     masked = masked_client_update(model, inputs, labels, 1, 0.1, alpha, Rng(2).child("m"))
     assert np.all(np.abs(masked - plain) <= alpha)
-
-
-def test_fedavg_round_is_vec_mean():
-    rng = Rng(3).child("fa")
-    ws = [rng.child(i).uniform(-1, 1, 20) for i in range(7)]
-    assert np.array_equal(fedavg_round(ws), vec_mean(ws))
-    assert np.array_equal(fedavg_round([[1.0, 2.0], [3.0, 4.0]]), [2.0, 3.0])
-    assert np.array_equal(fedavg_round([ws[0]]), ws[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Scenario configs, report determinism, sweeps, and the CLI front end."""
 
+import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
 
-from fedmask.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, main, write_pgm
+from fedmask.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, main
 from fedmask.harness import (
     ConfigError,
     DEFAULT_ALPHAS,
     ExperimentReport,
-    ScenarioConfig,
     alpha_sweep,
     attack_battery,
     clt_check,
@@ -61,10 +60,26 @@ def test_unknown_key_rejected_by_name():
         {"strategy": "bribe"},
         {"dropout_after": {"9": 1}},
         {"dropout_after": {"0": 7}},
+        {"dropout_after": {"a": 1}},
+        {"seeds": 5},
+        {"k": 2.5},
+        {"seeds": [-1]},
+        {"seeds": [2**64]},
+        {"kind": "clt_check", "n_mask_seeds": 1},
+        {"kind": "fed_training", "n": 3, "aggregator": "nope"},
+        {"kind": "fed_training", "n": 200},
+        {"n": "3"},
+        {"n": True},
+        {"client_counts": [0]},
+        {"retry_limit": 0},
+        {"controlled_ids": [0, 0]},
+        {"controlled_ids": [7]},
+        {"round_size": -3},
     ],
 )
 def test_bad_config_rejected(data):
-    with pytest.raises(ConfigError):
+    field = list(data)[-1]  # every case's offending field is its last key
+    with pytest.raises(ConfigError, match=f"^{field}:"):
         scenario_from_dict(data)
 
 
@@ -271,11 +286,64 @@ def test_cli_seed_override(tmp_path, capsys):
     assert "\n5," in out  # only the overridden seed appears
 
 
-def test_write_pgm(tmp_path):
-    path = str(tmp_path / "img.pgm")
-    write_pgm(Rng(0).uniform(0, 1, 64), path)
-    data = open(path, "rb").read()
-    assert data.startswith(b"P5\n8 8\n255\n")
-    assert len(data) == len(b"P5\n8 8\n255\n") + 64
-    with pytest.raises(ConfigError):
-        write_pgm(np.zeros(10), str(tmp_path / "bad.pgm"))
+def test_cli_bad_config_value_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seeds": 5})
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    assert "seeds:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Known answers: report bodies, CSVs, transcripts and CLI stdout, byte for byte
+# ---------------------------------------------------------------------------
+
+SECAGG_RUN = {"kind": "secagg_run", "n": 3, "k": 2, "dim": 4, "seeds": [0, 1]}
+ATTACK_DEMO = {"kind": "attack_demo", "n": 5, "k": 3, "dim": 4, "strategy": "share_compromise",
+               "controlled_ids": [0, 1, 2], "seeds": [0]}
+FED_TRAINING = {"kind": "fed_training", "n": 2, "alpha": 0.1, "seeds": [0]}
+ALPHA_SWEEP = {"kind": "alpha_sweep", "client_counts": [10], "alphas": [0.0, 0.5], "seeds": [0]}
+CLT_CHECK = {"kind": "clt_check", "client_counts": [10], "alphas": [0.5], "dim": 50, "n_mask_seeds": 5}
+CLT_CHECK_FAILING = {"client_counts": [3], "alphas": [0.5], "dim": 4, "n_mask_seeds": 2}
+
+
+def without_kind(data):
+    return {k: v for k, v in data.items() if k != "kind"}
+
+
+@pytest.mark.parametrize(
+    "source, data, exit_code, digest",
+    [
+        # run_scenario report body and CSV (exit code not applicable)
+        ("body", SECAGG_RUN, None, "e4d8ed5f7baef0d7"),
+        ("csv", SECAGG_RUN, None, "f885839e839b588f"),
+        ("body", ATTACK_DEMO, None, "e016db58f1e27f10"),
+        ("csv", ATTACK_DEMO, None, "8d5b09e119e99690"),
+        ("body", FED_TRAINING, None, "df81940c88a01aef"),
+        ("csv", FED_TRAINING, None, "a88cf1f9f3249d01"),
+        ("body", ALPHA_SWEEP, None, "34d56c9a836b932d"),
+        ("csv", ALPHA_SWEEP, None, "8a1ab8d6b6e6e144"),
+        ("body", CLT_CHECK, None, "164c401a02d77d1b"),
+        ("csv", CLT_CHECK, None, "afbfcfda052ccf96"),
+        # the transcript file `fedmask record` writes
+        ("record", {"kind": "secagg_run", "n": 3, "k": 2, "dim": 4}, EXIT_OK, "02b9f54e11fdc582"),
+        # full stdout of a CLI subcommand
+        ("sweep", without_kind(ALPHA_SWEEP), EXIT_OK, "89639a167d4e5c3c"),
+        ("attack", without_kind(ATTACK_DEMO), EXIT_OK, "2385e51971e8b990"),
+        ("clt-check", without_kind(CLT_CHECK), EXIT_OK, "c16a721ada72bfa8"),
+        ("clt-check", CLT_CHECK_FAILING, EXIT_ASSERTION, "957d4254572bfbd0"),
+        # `run` applies the same pass/fail check as its alias
+        ("run", {"kind": "clt_check", **CLT_CHECK_FAILING}, EXIT_ASSERTION, "957d4254572bfbd0"),
+    ],
+)
+def test_known_answer_digests(source, data, exit_code, digest, tmp_path, capsys):
+    if source in ("body", "csv"):
+        report = run_scenario(scenario_from_dict(data))
+        text = report.body_json() if source == "body" else report.to_csv()
+    elif source == "record":
+        transcript = tmp_path / "round.jsonl"
+        argv = ["record", "--config", write_config(tmp_path, data), "--transcript", str(transcript)]
+        assert main(argv) == exit_code
+        text = transcript.read_text()
+    else:
+        assert main([source, "--config", write_config(tmp_path, data)]) == exit_code
+        text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

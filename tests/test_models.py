@@ -21,9 +21,6 @@ from fedmask.models import (
     input_gradient,
     lm_log_perplexity,
     mask_bigram_probs,
-    model_debug_json,
-    model_from_bytes,
-    model_to_bytes,
     sgd_step,
     softmax,
     train_bigram,
@@ -264,30 +261,8 @@ def test_single_linear_neuron_converges_to_slope_two():
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Validation
 # ---------------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip():
-    model = init_model((4, 3, 2), "relu", Rng(18))
-    again = model_from_bytes(model_to_bytes(model))
-    assert again.sizes == model.sizes
-    assert again.activation == model.activation
-    assert np.array_equal(flatten(again), flatten(model))
-
-
-def test_checkpoint_rejects_garbage():
-    with pytest.raises(ParameterError):
-        model_from_bytes(b"NOPE" + b"\x00" * 50)
-
-
-def test_model_debug_json_parses():
-    import json
-
-    model = init_model((2, 2), "tanh", Rng(19))
-    d = json.loads(model_debug_json(model))
-    assert d["sizes"] == [2, 2]
-    assert d["activation"] == "tanh"
 
 
 def test_init_model_validation():

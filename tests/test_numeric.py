@@ -18,17 +18,12 @@ from fedmask.numeric import (
     decode_fixed,
     encode_fixed,
     field_add,
-    field_debug_json,
-    field_from_bytes,
     field_neg,
     field_sub,
     field_sum,
-    field_to_bytes,
     field_zero,
     uniform_mask,
     vec_mean,
-    vector_from_bytes,
-    vector_to_bytes,
 )
 
 
@@ -95,11 +90,6 @@ def test_vec_mean_dim_mismatch():
         vec_mean([[1.0], [1.0, 2.0]])
     with pytest.raises(ParameterError):
         vec_mean([])
-
-
-def test_vector_bytes_round_trip():
-    v = Rng(3).uniform(-5, 5, 17)
-    assert np.array_equal(vector_from_bytes(vector_to_bytes(v)), v)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +234,6 @@ def test_field_vector_validation():
         field_add(field_zero(2), field_zero(3))
     with pytest.raises(ParameterError):
         field_add(field_zero(2, frac_bits=16), field_zero(2, frac_bits=24))
-
-
-def test_field_bytes_round_trip():
-    fv = encode_fixed(Rng(2).uniform(-3, 3, 9), frac_bits=16)
-    back = field_from_bytes(field_to_bytes(fv))
-    assert back == fv
-
-
-def test_field_debug_json_parses():
-    import json
-
-    fv = encode_fixed(np.array([1.5, -2.25]))
-    d = json.loads(field_debug_json(fv))
-    assert d["frac_bits"] == DEFAULT_FRAC_BITS
-    assert [int(s) for s in d["residues"]] == [int(r) for r in fv.residues]
 
 
 # ---------------------------------------------------------------------------

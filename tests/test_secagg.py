@@ -23,7 +23,6 @@ from fedmask.secagg import (
     masked_input_vector,
     pairwise_mask,
     run_protocol,
-    run_secagg,
 )
 
 
@@ -43,7 +42,7 @@ def field_sum_oracle(inputs, frac_bits=24):
 
 
 def test_two_clients_worked_example():
-    t = run_secagg([[1.0, 2.0], [3.0, 4.0]], k=2, seed=0, params=TOY_GROUP)
+    t = run_protocol([[1.0, 2.0], [3.0, 4.0]], k=2, seed=0, params=TOY_GROUP).transcript
     assert not t.aborted
     assert t.included == (0, 1)
     assert np.allclose(t.aggregate, [4.0, 6.0], atol=2**-20)
@@ -52,7 +51,7 @@ def test_two_clients_worked_example():
 
 def test_honest_n10_matches_plain_sum():
     inputs = random_inputs(10, 8, seed=1)
-    t = run_secagg(inputs, k=5, seed=1, params=TOY_GROUP)
+    t = run_protocol(inputs, k=5, seed=1, params=TOY_GROUP).transcript
     assert not t.aborted
     assert t.aggregate_field == field_sum_oracle(inputs)
     assert np.max(np.abs(t.aggregate - np.sum(inputs, axis=0))) < 2**-20
@@ -60,14 +59,14 @@ def test_honest_n10_matches_plain_sum():
 
 def test_n3_k2_honest_bit_exact():
     inputs = random_inputs(3, 4, seed=2)
-    t = run_secagg(inputs, k=2, seed=2, params=TOY_GROUP)
+    t = run_protocol(inputs, k=2, seed=2, params=TOY_GROUP).transcript
     assert t.aggregate_field == field_sum_oracle(inputs)
 
 
 def test_deterministic_given_seed():
     inputs = random_inputs(4, 6, seed=3)
-    t1 = run_secagg(inputs, k=3, seed=3, params=TOY_GROUP)
-    t2 = run_secagg(inputs, k=3, seed=3, params=TOY_GROUP)
+    t1 = run_protocol(inputs, k=3, seed=3, params=TOY_GROUP).transcript
+    t2 = run_protocol(inputs, k=3, seed=3, params=TOY_GROUP).transcript
     assert t1.to_jsonl() == t2.to_jsonl()
     assert t1.aggregate_field == t2.aggregate_field
 
@@ -80,7 +79,7 @@ def test_deterministic_given_seed():
 def test_dropout_before_masked_input_excludes_client():
     inputs = random_inputs(3, 4, seed=4)
     # client 1 answers through round 1 (key sharing), never sends masked input
-    t = run_secagg(inputs, k=2, seed=4, dropout_after={1: 1}, params=TOY_GROUP)
+    t = run_protocol(inputs, k=2, seed=4, dropout_after={1: 1}, params=TOY_GROUP).transcript
     assert not t.aborted
     assert t.included == (0, 2)
     assert t.aggregate_field == field_sum_oracle([inputs[0], inputs[2]])
@@ -89,7 +88,7 @@ def test_dropout_before_masked_input_excludes_client():
 def test_dropout_after_masked_input_keeps_contribution():
     inputs = random_inputs(5, 4, seed=5)
     # client 2 sends its masked input but vanishes before unmasking
-    t = run_secagg(inputs, k=3, seed=5, dropout_after={2: 2}, params=TOY_GROUP)
+    t = run_protocol(inputs, k=3, seed=5, dropout_after={2: 2}, params=TOY_GROUP).transcript
     assert not t.aborted
     assert 2 in t.included
     assert t.aggregate_field == field_sum_oracle(inputs)
@@ -97,7 +96,7 @@ def test_dropout_after_masked_input_keeps_contribution():
 
 def test_two_scheduled_dropouts():
     inputs = random_inputs(5, 4, seed=6)
-    t = run_secagg(inputs, k=3, seed=6, dropout_after={0: 1, 4: 2}, params=TOY_GROUP)
+    t = run_protocol(inputs, k=3, seed=6, dropout_after={0: 1, 4: 2}, params=TOY_GROUP).transcript
     assert not t.aborted
     assert t.included == (1, 2, 3, 4)
     assert t.aggregate_field == field_sum_oracle([inputs[i] for i in (1, 2, 3)] + [inputs[4]])
@@ -105,7 +104,7 @@ def test_two_scheduled_dropouts():
 
 def test_abort_below_threshold():
     inputs = random_inputs(5, 4, seed=7)
-    t = run_secagg(inputs, k=5, seed=7, dropout_after={0: 1}, params=TOY_GROUP)
+    t = run_protocol(inputs, k=5, seed=7, dropout_after={0: 1}, params=TOY_GROUP).transcript
     assert t.aborted
     assert "below threshold" in t.abort_reason
     assert t.included == ()
@@ -115,7 +114,7 @@ def test_abort_below_threshold():
 def test_dropout_before_any_message():
     inputs = random_inputs(4, 4, seed=8)
     # dropout_after=-1 means the client never even advertises
-    t = run_secagg(inputs, k=2, seed=8, dropout_after={3: -1}, params=TOY_GROUP)
+    t = run_protocol(inputs, k=2, seed=8, dropout_after={3: -1}, params=TOY_GROUP).transcript
     assert not t.aborted
     assert t.included == (0, 1, 2)
     assert t.aggregate_field == field_sum_oracle(inputs[:3])
@@ -176,13 +175,13 @@ def test_client_phases_terminal():
 
 def test_transcript_replay_byte_identical():
     inputs = random_inputs(4, 5, seed=13)
-    a = run_secagg(inputs, k=3, seed=13, dropout_after={2: 2}, params=TOY_GROUP).to_jsonl()
-    b = run_secagg(inputs, k=3, seed=13, dropout_after={2: 2}, params=TOY_GROUP).to_jsonl()
+    a = run_protocol(inputs, k=3, seed=13, dropout_after={2: 2}, params=TOY_GROUP).transcript.to_jsonl()
+    b = run_protocol(inputs, k=3, seed=13, dropout_after={2: 2}, params=TOY_GROUP).transcript.to_jsonl()
     assert a == b
 
 
 def test_transcript_header_schema():
-    t = run_secagg(random_inputs(2, 3, seed=14), k=2, seed=14, params=TOY_GROUP)
+    t = run_protocol(random_inputs(2, 3, seed=14), k=2, seed=14, params=TOY_GROUP).transcript
     lines = t.to_jsonl().splitlines()
     header = json.loads(lines[0])
     assert header["schema_version"] == TRANSCRIPT_SCHEMA_VERSION
@@ -195,7 +194,7 @@ def test_transcript_header_schema():
 
 
 def test_transcript_message_round_tags_monotone_per_sender():
-    t = run_secagg(random_inputs(3, 3, seed=15), k=2, seed=15, params=TOY_GROUP)
+    t = run_protocol(random_inputs(3, 3, seed=15), k=2, seed=15, params=TOY_GROUP).transcript
     last_round = {}
     for line in t.to_jsonl().splitlines()[1:]:
         msg = json.loads(line)
@@ -209,7 +208,7 @@ def test_transcript_message_round_tags_monotone_per_sender():
 
 def test_decoded_aggregate_matches_field_decode():
     inputs = random_inputs(3, 4, seed=16)
-    t = run_secagg(inputs, k=2, seed=16, params=TOY_GROUP)
+    t = run_protocol(inputs, k=2, seed=16, params=TOY_GROUP).transcript
     assert np.array_equal(t.aggregate, decode_fixed(t.aggregate_field))
 
 
@@ -220,10 +219,10 @@ def test_decoded_aggregate_matches_field_decode():
 
 def test_run_protocol_validation():
     with pytest.raises(ParameterError):
-        run_secagg([[1.0]], k=1)
+        run_protocol([[1.0]], k=1).transcript
     with pytest.raises(ParameterError):
-        run_secagg([[1.0], [2.0]], k=3)
+        run_protocol([[1.0], [2.0]], k=3).transcript
     with pytest.raises(ParameterError):
-        run_secagg([[1.0], [2.0]], k=0)
+        run_protocol([[1.0], [2.0]], k=0).transcript
     with pytest.raises(ParameterError):
-        run_secagg([[1.0, 2.0], [3.0]], k=2)
+        run_protocol([[1.0, 2.0], [3.0]], k=2).transcript
