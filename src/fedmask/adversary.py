@@ -16,7 +16,6 @@ import numpy as np
 from .crypto import (
     DhParams,
     RFC3526_2048,
-    ShamirShare,
     ThresholdError,
     modexp,
     shamir_reconstruct,
@@ -29,10 +28,9 @@ from .numeric import (
     clip_for_encoding,
     decode_fixed,
     encode_fixed,
-    field_add,
     field_sub,
 )
-from .secagg import ProtocolRun, _decode_share, individual_mask, pairwise_mask, run_protocol
+from .secagg import ProtocolRun, client_mask, run_protocol
 
 STRATEGIES = ("honest_but_curious", "sybil_mitm", "share_compromise", "strategic_drop")
 
@@ -97,25 +95,10 @@ def _field_error(a: FieldVector, b: FieldVector) -> int:
     return int(np.max(np.abs(a.residues.astype(np.int64) - b.residues.astype(np.int64)), initial=0))
 
 
-def _pooled_shares(run: ProtocolRun, holders, owner: int, key: str) -> list[ShamirShare]:
-    shares = []
-    for hid in holders:
-        bundle = run.clients[hid].held_bundles.get(owner)
-        if bundle is None or hid == owner:
-            continue
-        shares.append(_decode_share(json.loads(bundle)[key]))
-    return shares
-
-
-def _unmask_input(run: ProtocolRun, frac_bits: int, cid: int, sk2: int, pair_secrets: dict) -> FieldVector:
-    """encode(w_cid) = c_cid - M2 - sum_j sign(cid, j) * M_{cid,j}."""
-    c = run.server.masked[cid]
-    dim = c.dim
-    c = field_sub(c, individual_mask(sk2, dim, frac_bits))
-    for j, secret in pair_secrets.items():
-        m = pairwise_mask(secret, dim, frac_bits)
-        c = field_sub(c, m) if cid < j else field_add(c, m)
-    return c
+def _pooled_shares(run: ProtocolRun, holders, owner: int) -> tuple[list, list]:
+    """The shares of owner's sk1 and of its sk2 that the holders received."""
+    held = [run.clients[h].held_shares[owner] for h in holders if h != owner and owner in run.clients[h].held_shares]
+    return [pair[0] for pair in held], [pair[1] for pair in held]
 
 
 def _cell_seed(seed: int, cell: int) -> int:
@@ -149,9 +132,10 @@ def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackRep
             report.reason = f"protocol aborted: {run.transcript.abort_reason}"
             return report
         sybils = range(1, s + 1)
-        sk2 = shamir_reconstruct(_pooled_shares(run, sybils, 0, "sk2"))
+        sk2 = shamir_reconstruct(_pooled_shares(run, sybils, 0)[1])
         pair_secrets = {j: run.clients[j].pair_secrets[0] for j in sybils}
-        rec = _unmask_input(run, scenario.frac_bits, 0, sk2, pair_secrets)
+        # encode(w_0) = c_0 - client_mask_0, as the server unmasks a survivor
+        rec = field_sub(run.server.masked[0], client_mask(0, sk2, pair_secrets, run.server.dim, scenario.frac_bits))
         report.recovered_field[cell] = rec
         report.recovered[cell] = decode_fixed(rec)
         max_err = max(max_err, _field_error(rec, _truth_field(scenario, cell)))
@@ -182,8 +166,9 @@ def run_share_compromise(
     max_err = 0
     for cid in honest:
         try:
-            sk1 = shamir_reconstruct(_pooled_shares(run, controlled, cid, "sk1"))
-            sk2 = shamir_reconstruct(_pooled_shares(run, controlled, cid, "sk2"))
+            sk1_shares, sk2_shares = _pooled_shares(run, controlled, cid)
+            sk1 = shamir_reconstruct(sk1_shares)
+            sk2 = shamir_reconstruct(sk2_shares)
         except ThresholdError:
             report.reason = (
                 f"only {len(controlled)} controlled clients; {scenario.k} shares needed"
@@ -194,7 +179,7 @@ def run_share_compromise(
             for j in run.clients[cid].participants
             if j != cid
         }
-        rec = _unmask_input(run, scenario.frac_bits, cid, sk2, pair_secrets)
+        rec = field_sub(run.server.masked[cid], client_mask(cid, sk2, pair_secrets, run.server.dim, scenario.frac_bits))
         report.recovered_field[cid] = rec
         report.recovered[cid] = decode_fixed(rec)
         max_err = max(max_err, _field_error(rec, _truth_field(scenario, cid)))

@@ -76,7 +76,7 @@ def geometric_median(vectors, max_iters: int = 200, tol: float = 1e-8) -> np.nda
     return nu
 
 
-def trimmed_mean(vectors, zeta: float) -> np.ndarray:
+def trimmed_mean(vectors, zeta: float = 0.1) -> np.ndarray:
     """Per-coordinate mean after removing the floor(zeta*n) extremes per side."""
     if not (0.0 <= zeta < 0.5):
         raise ParameterError("zeta must lie in [0, 0.5)")
@@ -94,14 +94,14 @@ def coord_median(vectors) -> np.ndarray:
     return np.median(_stack(vectors), axis=0)
 
 
-def centered_clip(vectors, v0, tau: float, iters: int = 1) -> np.ndarray:
-    """Iterative clipped averaging from an initial center v0."""
+def centered_clip(vectors, v0=None, tau: float = 1.0, iters: int = 5) -> np.ndarray:
+    """Iterative clipped averaging from an initial center v0 (default: zeros)."""
     if tau < 0:
         raise ParameterError("tau must be >= 0")
     if iters < 1:
         raise ParameterError("iters must be >= 1")
     X = _stack(vectors)
-    nu = as_vector(v0).copy()
+    nu = np.zeros(X.shape[1]) if v0 is None else as_vector(v0).copy()
     if nu.shape[0] != X.shape[1]:
         raise ParameterError("v0 dimension mismatch")
     n = X.shape[0]
@@ -114,7 +114,7 @@ def centered_clip(vectors, v0, tau: float, iters: int = 1) -> np.ndarray:
     return nu
 
 
-def bulyan(vectors, d: int, inner: str = "krum") -> np.ndarray:
+def bulyan(vectors, d: int = 1, inner: str = "krum") -> np.ndarray:
     """Recursive selection via the inner rule, then per-coordinate averaging
     of the values closest to the coordinate-wise median.
 
@@ -160,18 +160,16 @@ def bulyan(vectors, d: int, inner: str = "krum") -> np.ndarray:
     return out
 
 
+# Each rule takes the vectors, then keyword arguments with their defaults in
+# its signature; a scenario's aggregator_params are those keyword arguments.
 AGGREGATORS = {
-    "mean": lambda vs, **kw: vec_mean(vs),
-    "krum": lambda vs, **kw: krum(vs, kw.get("delta", 0.0)),
-    "geometric_median": lambda vs, **kw: geometric_median(
-        vs, kw.get("max_iters", 200), kw.get("tol", 1e-8)
-    ),
-    "bulyan": lambda vs, **kw: bulyan(vs, kw.get("d", 1), kw.get("inner", "krum")),
-    "trimmed_mean": lambda vs, **kw: trimmed_mean(vs, kw.get("zeta", 0.1)),
-    "coord_median": lambda vs, **kw: coord_median(vs),
-    "centered_clip": lambda vs, **kw: centered_clip(
-        vs, kw.get("v0", np.zeros(np.asarray(vs[0]).shape[0])), kw.get("tau", 1.0), kw.get("iters", 5)
-    ),
+    "mean": vec_mean,
+    "krum": krum,
+    "geometric_median": geometric_median,
+    "bulyan": bulyan,
+    "trimmed_mean": trimmed_mean,
+    "coord_median": coord_median,
+    "centered_clip": centered_clip,
 }
 
 

@@ -19,6 +19,7 @@ from .models import (
     input_gradient,
     lm_log_perplexity,
     mask_bigram_probs,
+    softmax,
     unflatten,
 )
 from .numeric import ParameterError, Rng, uniform_mask
@@ -176,7 +177,7 @@ def mia_attack(
 
     def cost_and_grad(xv):
         batch = Batch(inputs=xv[None, :], labels=labels)
-        probs = _softmax_row(forward_batch(model, xv[None, :])[0])
+        probs = softmax(forward_batch(model, xv[None, :])[0])
         _, gx = input_gradient(model, batch, "cross_entropy")
         # C = 1 - p_label and L_ce = -log p_label, so dC/dx = p_label * dL/dx
         return 1.0 - float(probs[label]), float(probs[label]) * gx[0]
@@ -196,11 +197,6 @@ def mia_attack(
             break
     best = int(np.argmin(costs))
     return visited[best], costs[best]
-
-
-def _softmax_row(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +253,13 @@ def _gen_noise(rng: Rng, n: int, dim: int) -> np.ndarray:
     return rng.normal(0.0, 1.0, n * dim).reshape(n, dim)
 
 
-def _d_step(d: TinyModel, real: np.ndarray, fake: np.ndarray, eta: float) -> TinyModel:
-    """One discriminator update: real examples toward 1, fake toward 0."""
+def _d_step(d: TinyModel, real: np.ndarray, fake: np.ndarray, eta: float, clip: float) -> TinyModel:
+    """One discriminator update, real examples toward 1 and fake toward 0,
+    with the weights clipped to [-clip, clip] afterwards."""
     x = np.vstack([real, fake])
     y = np.vstack([np.ones((real.shape[0], 1)), np.zeros((fake.shape[0], 1))])
     _, grad = backward(d, Batch(inputs=x, labels=y), "mse")
-    return unflatten(d, flatten(d) - eta * grad)
+    return unflatten(d, np.clip(flatten(d) - eta * grad, -clip, clip))
 
 
 def _g_loss(d: TinyModel, fake: np.ndarray) -> float:
@@ -313,17 +310,13 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
     zdim = g.input_dim
     B = schedule.batch_size
 
-    def d_step(d, idx, fake, eta):
-        d = _d_step(d, real_data[idx], fake, eta)
-        return unflatten(d, np.clip(flatten(d), -schedule.d_clip, schedule.d_clip))
-
     frozen = False
     if mode == "pretrained":
         pre_rng = rng.child("pretrain")
         for _ in range(schedule.pretrain_epochs * schedule.steps_per_epoch):
             idx = pre_rng.choice(n_real, min(B, n_real), replace=True)
             fake = forward_batch(g, _gen_noise(pre_rng, B, zdim))
-            d = d_step(d, idx, fake, schedule.pretrain_eta)
+            d = _d_step(d, real_data[idx], fake, schedule.pretrain_eta, schedule.d_clip)
         frozen = True
 
     trace = []
@@ -345,7 +338,7 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
             idx = srng.choice(n_real, min(B, n_real), replace=True)
             z = _gen_noise(srng, B, zdim)
             if not frozen:
-                d = d_step(d, idx, forward_batch(g, z), schedule.eta_d)
+                d = _d_step(d, real_data[idx], forward_batch(g, z), schedule.eta_d, schedule.d_clip)
                 if mode != "masked":
                     signal_d = d
             g = _g_step(g, signal_d, z, schedule.eta_g)

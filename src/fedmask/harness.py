@@ -8,6 +8,7 @@ are byte-identical across reruns with the same config and seeds.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -60,6 +61,15 @@ _FIELD_TYPES = (
     ("an integer or null", lambda v: v is None or _is_int(v), ("round_size",)),
     ("a string or null", lambda v: v is None or isinstance(v, str), ("output_dir",)),
 )
+
+# What an aggregator_params value must be, by the type of the rule's default
+# for it; centered_clip's v0 defaults to None, meaning zeros.
+_PARAM_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,8 @@ class ScenarioConfig:
             raise ConfigError("n_mask_seeds: need at least 2 seeds")
         if self.strategy not in adversary.STRATEGIES:
             raise ConfigError(f"strategy: unknown strategy {self.strategy!r}")
+        if self.sybil_count < 0:
+            raise ConfigError("sybil_count: must be >= 0")
         if self.retry_limit < 1:
             raise ConfigError("retry_limit: must be >= 1")
         if len(set(self.controlled_ids)) != len(self.controlled_ids):
@@ -125,6 +137,14 @@ class ScenarioConfig:
             raise ConfigError(f"round_size: need 1 <= round_size <= n, got {self.round_size}")
         if self.aggregator not in aggregators.AGGREGATORS:
             raise ConfigError(f"aggregator: unknown aggregator {self.aggregator!r}")
+        keywords = list(inspect.signature(aggregators.AGGREGATORS[self.aggregator]).parameters.values())[1:]
+        defaults = {p.name: p.default for p in keywords}
+        for key, value in self.aggregator_params.items():
+            if key not in defaults:
+                raise ConfigError(f"aggregator_params: {self.aggregator} takes no parameter {key!r}")
+            what, ok = _PARAM_TYPES[type(defaults[key])]
+            if not ok(value):
+                raise ConfigError(f"aggregator_params: {key} must be {what}")
         for cid, rnd in self.dropout_after.items():
             if not (_is_int(cid) and _is_int(rnd) and 0 <= cid < self.n and 0 <= rnd <= 4):
                 raise ConfigError(f"dropout_after: bad entry {cid!r}: {rnd!r}")

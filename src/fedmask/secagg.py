@@ -6,11 +6,14 @@ consistency check (3), unmasking (4).  Dropouts follow a declarative schedule
 (client i stops responding after round r); there are no wall-clock timers, so
 every run is deterministic given its seed.
 
-Mask sign convention: for a client pair (i, j) with i < j the commonly
-derived pairwise mask is added by i and subtracted by j.  Each client also
-adds an individual mask M2 derived from its second secret key; survivors
-reveal Shamir shares of sk2 so the server can remove M2, while shares of sk1
-are revealed only for dropped clients.
+Masks: a client adds an individual mask M2, derived from its second secret
+key, plus one pairwise mask per peer.  `client_mask` builds that sum and is
+the one home of the sign rule: for a pair (i, j) with i < j, i adds the
+common mask M_ij and j subtracts it.  The server subtracts `client_mask` once
+per survivor, using the survivor's sk2 (survivors' sk2 shares are revealed)
+and its pair secrets with the clients dropped after key sharing (only the
+dropped clients' sk1 shares are revealed); masks between two survivors
+cancel in the sum.
 """
 
 from __future__ import annotations
@@ -168,18 +171,13 @@ class ClientState:
     participants: tuple = ()  # U2, mask peers
     pair_secrets: dict = field(default_factory=dict)  # id -> s_ij (keypair 1)
     enc_secrets: dict = field(default_factory=dict)  # id -> s2_ij (keypair 2)
-    held_bundles: dict = field(default_factory=dict)  # owner id -> blob
-    own_shares: dict = field(default_factory=dict)  # "sk1"/"sk2" -> own ShamirShare
+    held_shares: dict = field(default_factory=dict)  # owner id -> (sk1 share, sk2 share)
     consistency_list: tuple = ()
     abort_reason: str | None = None
 
     def abort(self, reason: str):
         self.phase = Phase.ABORTED
         self.abort_reason = reason
-
-
-def _share_index(ids, cid: int) -> int:
-    return sorted(ids).index(cid) + 1
 
 
 def _bundle_key(state: ClientState, peer: int) -> int:
@@ -206,25 +204,21 @@ def _decode_share(d: dict) -> ShamirShare:
     )
 
 
-def pairwise_mask(secret: int, dim: int, frac_bits: int) -> FieldVector:
-    return prg_expand(seed_from_secret(secret, label="mask"), dim, frac_bits=frac_bits)
-
-
-def individual_mask(sk2: int, dim: int, frac_bits: int) -> FieldVector:
-    return prg_expand(seed_from_secret(sk2, label="m2"), dim, frac_bits=frac_bits)
+def client_mask(cid: int, sk2: int, pair_secrets: dict, dim: int, frac_bits: int) -> FieldVector:
+    """M2(sk2) + sum_j sign(cid, j) * M(s_cid,j) over pair_secrets (peer id ->
+    s_cid,j), where sign(cid, j) is +1 when cid < j and -1 otherwise."""
+    mask = prg_expand(seed_from_secret(sk2, label="m2"), dim, frac_bits=frac_bits)
+    for j, secret in pair_secrets.items():
+        m = prg_expand(seed_from_secret(secret, label="mask"), dim, frac_bits=frac_bits)
+        mask = field_add(mask, m) if cid < j else field_sub(mask, m)
+    return mask
 
 
 def masked_input_vector(state: ClientState) -> FieldVector:
-    """encode(w_i) + M2 + sum_{j>i} M_ij - sum_{j<i} M_ij in field arithmetic."""
-    dim = state.weights.shape[0]
-    c = encode_fixed(clip_for_encoding(state.weights), state.frac_bits)
-    c = field_add(c, individual_mask(state.kp2.sk, dim, state.frac_bits))
-    for j in state.participants:
-        if j == state.cid:
-            continue
-        m = pairwise_mask(state.pair_secrets[j], dim, state.frac_bits)
-        c = field_add(c, m) if state.cid < j else field_sub(c, m)
-    return c
+    """encode(w_i) + client_mask over the peers that completed key sharing."""
+    peers = {j: state.pair_secrets[j] for j in state.participants if j != state.cid}
+    mask = client_mask(state.cid, state.kp2.sk, peers, state.weights.shape[0], state.frac_bits)
+    return field_add(encode_fixed(clip_for_encoding(state.weights), state.frac_bits), mask)
 
 
 def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
@@ -268,20 +262,13 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
     sk1_shares = shamir_split(state.kp1.sk, state.k, n, state.rng.child("shamir-sk1"))
     sk2_shares = shamir_split(state.kp2.sk, state.k, n, state.rng.child("shamir-sk2"))
     bundles = {}
-    for peer in ids:
-        idx = _share_index(ids, peer) - 1
-        payload = json.dumps(
-            {
-                "owner": state.cid,
-                "sk1": _encode_share(sk1_shares[idx]),
-                "sk2": _encode_share(sk2_shares[idx]),
-            }
-        ).encode()
+    # share x = 1..n goes to the x-th smallest id
+    for peer, sk1, sk2 in zip(ids, sk1_shares, sk2_shares):
         if peer == state.cid:
-            state.held_bundles[state.cid] = payload  # own share, kept locally
-            state.own_shares = {"sk1": sk1_shares[idx], "sk2": sk2_shares[idx]}
-        else:
-            bundles[peer] = stream_xor(_bundle_key(state, peer), payload)
+            state.held_shares[peer] = (sk1, sk2)  # own share, kept locally
+            continue
+        payload = json.dumps({"owner": state.cid, "sk1": _encode_share(sk1), "sk2": _encode_share(sk2)}).encode()
+        bundles[peer] = stream_xor(_bundle_key(state, peer), payload)
     state.phase = Phase.MASKED_INPUT
     return state, [KeyShares(sender=state.cid, bundles=bundles)]
 
@@ -290,7 +277,8 @@ def _client_masked_input(state: ClientState, inbox) -> tuple[ClientState, list]:
     (msg,) = [m for m in inbox if isinstance(m, ShareDelivery)]
     state.participants = tuple(sorted(msg.participants))
     for owner, blob in msg.bundles:
-        state.held_bundles[owner] = stream_xor(_bundle_key(state, owner), blob)
+        info = json.loads(stream_xor(_bundle_key(state, owner), blob))
+        state.held_shares[owner] = (_decode_share(info["sk1"]), _decode_share(info["sk2"]))
     if len(state.participants) < state.k:
         state.abort("below threshold at masked input")
         return state, []
@@ -324,15 +312,9 @@ def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
         if pk1 is None or not verify(expected, sig, pk1, state.params):
             state.abort(f"bad consistency signature from client {cid}")
             return state, []
-    sk1_shares, sk2_shares = {}, {}
-    for j in msg.dropped:
-        if j in state.held_bundles and j != state.cid:
-            info = json.loads(state.held_bundles[j])
-            sk1_shares[j] = _decode_share(info["sk1"])
-    for i in msg.survivors:
-        if i in state.held_bundles:
-            info = json.loads(state.held_bundles[i])
-            sk2_shares[i] = _decode_share(info["sk2"])
+    held = state.held_shares
+    sk1_shares = {j: held[j][0] for j in msg.dropped if j in held and j != state.cid}
+    sk2_shares = {i: held[i][1] for i in msg.survivors if i in held}
     state.phase = Phase.DONE
     return state, [UnmaskShares(sender=state.cid, sk1_shares=sk1_shares, sk2_shares=sk2_shares)]
 
@@ -456,25 +438,20 @@ def _collect_shares(state: ServerState, owner: int, kind: str):
 
 
 def _server_unmask_aggregate(state: ServerState) -> FieldVector:
-    """Sum survivor inputs, strip M2 masks, cancel dropped clients' pairwise
-    masks via reconstructed sk1 keys."""
+    """Sum of c_i - client_mask_i over the survivors i.  Pairwise masks
+    between two survivors cancel in the sum, so each survivor's mask needs
+    only its sk2 and its pair secrets with the clients dropped after key
+    sharing, derived from their reconstructed sk1 keys."""
+    dropped_sk1 = {
+        j: shamir_reconstruct(_collect_shares(state, j, "sk1")) for j in sorted(set(state.u2) - set(state.u3))
+    }
     total = field_zero(state.dim, frac_bits=state.frac_bits)
     for cid in state.u3:
-        total = field_add(total, state.masked[cid])
-    # remove individual masks of included clients
-    for cid in state.u3:
         sk2 = shamir_reconstruct(_collect_shares(state, cid, "sk2"))
-        total = field_sub(total, individual_mask(sk2, state.dim, state.frac_bits))
-    # cancel pairwise masks left dangling by clients dropped after key sharing
-    dropped = sorted(set(state.u2) - set(state.u3))
-    for j in dropped:
-        sk1_j = shamir_reconstruct(_collect_shares(state, j, "sk1"))
-        for i in state.u3:
-            pk1_i = state.adverts[i].pk1
-            secret = modexp(pk1_i, sk1_j, state.params.prime)
-            m = pairwise_mask(secret, state.dim, state.frac_bits)
-            # client i applied sign(i, j); remove that contribution
-            total = field_sub(total, m) if i < j else field_add(total, m)
+        pk1 = state.adverts[cid].pk1
+        pair_secrets = {j: modexp(pk1, sk1, state.params.prime) for j, sk1 in dropped_sk1.items()}
+        mask = client_mask(cid, sk2, pair_secrets, state.dim, state.frac_bits)
+        total = field_add(total, field_sub(state.masked[cid], mask))
     return total
 
 

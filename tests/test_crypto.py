@@ -29,7 +29,7 @@ from fedmask.crypto import (
     stream_xor,
     verify,
 )
-from fedmask.numeric import FieldVector, ParameterError, Rng
+from fedmask.numeric import FieldVector, ParameterError, Rng, encode_fixed, field_sum
 
 
 def naive_modexp(base, exp, modulus):
@@ -325,6 +325,17 @@ def test_transcript_known_answer():
     inputs = [Rng(1).child(i).uniform(-1, 1, 37) for i in range(5)]
     run = secagg.run_protocol(inputs, 3, seed=11, dropout_after={0: 1}, params=TOY_GROUP)
     assert _digest(run.transcript.to_jsonl().encode()) == "81e12b8ae6e33f9e"
+
+
+def test_transcript_known_answer_dropouts_in_three_rounds():
+    # client 0 drops after key sharing, 2 after masked input, 4 after the
+    # consistency check: the server cancels client 0's pairwise masks only
+    inputs = [Rng(2).child(i).uniform(-1, 1, 37) for i in range(6)]
+    run = secagg.run_protocol(inputs, 3, seed=12, dropout_after={0: 1, 2: 2, 4: 3}, params=TOY_GROUP)
+    t = run.transcript
+    assert t.included == (1, 2, 3, 4, 5)
+    assert t.aggregate_field == field_sum([encode_fixed(inputs[i], 24) for i in t.included])
+    assert _digest(t.to_jsonl().encode()) == "d543d2719dec7788"
 
 
 @settings(max_examples=40, deadline=None)

@@ -75,6 +75,9 @@ def test_unknown_key_rejected_by_name():
         {"controlled_ids": [0, 0]},
         {"controlled_ids": [7]},
         {"round_size": -3},
+        {"kind": "attack_demo", "strategy": "sybil_mitm", "sybil_count": -1},
+        {"kind": "fed_training", "aggregator": "krum", "aggregator_params": {"delta": "x"}},
+        {"kind": "fed_training", "aggregator": "trimmed_mean", "aggregator_params": {"bogus": 1}},
     ],
 )
 def test_bad_config_rejected(data):

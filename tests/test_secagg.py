@@ -6,22 +6,21 @@ import json
 import numpy as np
 import pytest
 
-from fedmask.crypto import TOY_GROUP
+from fedmask.crypto import TOY_GROUP, prg_expand, seed_from_secret
 from fedmask.numeric import (
     ParameterError,
     Rng,
     decode_fixed,
     encode_fixed,
     field_add,
-    field_neg,
+    field_sub,
     field_sum,
 )
 from fedmask.secagg import (
     Phase,
     TRANSCRIPT_SCHEMA_VERSION,
-    individual_mask,
+    client_mask,
     masked_input_vector,
-    pairwise_mask,
     run_protocol,
 )
 
@@ -125,18 +124,27 @@ def test_dropout_before_any_message():
 # ---------------------------------------------------------------------------
 
 
+def prg_mask(secret, label, dim=4):
+    """A mask expanded straight from the PRG, independent of secagg."""
+    return prg_expand(seed_from_secret(secret, label=label), dim, frac_bits=24)
+
+
 def test_pairwise_mask_sign_convention():
     """For a pair (i, j), i adds M_ij and j subtracts the same M_ij: the sum
     of both clients' mask terms for the pair is exactly zero in the field."""
     run = run_protocol(random_inputs(3, 4, seed=9), k=2, seed=9, params=TOY_GROUP)
     ci, cj = run.clients[0], run.clients[1]
     # both parties derived the same DH secret, hence the same mask
-    assert ci.pair_secrets[1] == cj.pair_secrets[0]
-    m_i = pairwise_mask(ci.pair_secrets[1], 4, 24)
-    m_j = pairwise_mask(cj.pair_secrets[0], 4, 24)
-    assert m_i == m_j
-    # i (lower id) adds, j subtracts: contributions cancel
-    assert field_add(m_i, field_neg(m_j)).residues.tolist() == [0, 0, 0, 0]
+    s = ci.pair_secrets[1]
+    assert s == cj.pair_secrets[0]
+    m2_i, m2_j, m = prg_mask(ci.kp2.sk, "m2"), prg_mask(cj.kp2.sk, "m2"), prg_mask(s, "mask")
+    # i (lower id) adds, j subtracts
+    mask_i = client_mask(0, ci.kp2.sk, {1: s}, 4, 24)
+    mask_j = client_mask(1, cj.kp2.sk, {0: s}, 4, 24)
+    assert mask_i == field_add(m2_i, m)
+    assert mask_j == field_sub(m2_j, m)
+    # the pair's contributions cancel
+    assert field_add(mask_i, mask_j) == field_add(m2_i, m2_j)
 
 
 def test_masked_input_vector_definition():
@@ -144,13 +152,12 @@ def test_masked_input_vector_definition():
     run = run_protocol(random_inputs(3, 4, seed=10), k=2, seed=10, params=TOY_GROUP)
     state = run.clients[1]
     c = run.server.masked[1]
-    expected = encode_fixed(state.weights, 24)
-    expected = field_add(expected, individual_mask(state.kp2.sk, 4, 24))
+    expected = field_add(encode_fixed(state.weights, 24), prg_mask(state.kp2.sk, "m2"))
     for j in state.participants:
         if j == 1:
             continue
-        m = pairwise_mask(state.pair_secrets[j], 4, 24)
-        expected = field_add(expected, m) if 1 < j else field_add(expected, field_neg(m))
+        m = prg_mask(state.pair_secrets[j], "mask")
+        expected = field_add(expected, m) if 1 < j else field_sub(expected, m)
     assert c == expected
     assert c == masked_input_vector(state)
 
