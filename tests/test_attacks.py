@@ -1,6 +1,8 @@
 """Reconstruction and extraction attacks: gradient matching, model
 inversion, the adversarial-pair training loop, and the log-perplexity probe."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,22 @@ def test_gan_attack_unknown_mode():
     data, _ = make_gaussian_mixture(64, Rng(0).child("real"))
     with pytest.raises(ParameterError):
         gan_attack(pair, data, small_schedule(), mode="frozen")
+
+
+def test_gan_and_model_inversion_known_answer():
+    # pins the GAN loss traces and samples of every mode and one model
+    # inversion result; the digest was computed before either loop was reworked
+    real, _ = make_gaussian_mixture(128, Rng(0).child("real"))
+    schedule = GanSchedule(epochs=11, steps_per_epoch=3)
+    h = hashlib.sha256()
+    for mode in GAN_MODES:
+        report = gan_attack(default_gan_pair(0), real, schedule, mode=mode)
+        h.update(np.asarray(report.loss_trace, dtype=np.float64).tobytes())
+        h.update(report.samples.tobytes())
+    x, cost = mia_attack(init_model((64, 16, 10), "tanh", Rng(3).child("m")), 2, T=50)
+    h.update(x.tobytes())
+    h.update(np.float64(cost).tobytes())
+    assert h.hexdigest()[:16] == "56d397840138fd61"
 
 
 def test_mode_distance_zero_at_means():
