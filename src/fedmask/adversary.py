@@ -58,7 +58,6 @@ class AttackScenario:
     k: int
     seed: int = 0
     params: DhParams = RFC3526_2048
-    frac_bits: int = 24
     trusted_third_party: bool = False  # third party certifies advertised keys
 
 
@@ -88,7 +87,7 @@ class AttackReport:
 
 
 def _truth_field(scenario: AttackScenario, cid: int) -> FieldVector:
-    return encode_fixed(clip_for_encoding(as_vector(scenario.inputs[cid])), scenario.frac_bits)
+    return encode_fixed(clip_for_encoding(as_vector(scenario.inputs[cid])))
 
 
 def _field_error(a: FieldVector, b: FieldVector) -> int:
@@ -124,9 +123,7 @@ def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackRep
     for cell, w in enumerate(scenario.inputs):
         # honest client is id 0; ids 1..s are sybils running the genuine logic
         inputs = [as_vector(w)] + [np.zeros(np.asarray(w).shape[0])] * s
-        run = run_protocol(
-            inputs, scenario.k, seed=_cell_seed(scenario.seed, cell), params=scenario.params, frac_bits=scenario.frac_bits
-        )
+        run = run_protocol(inputs, scenario.k, seed=_cell_seed(scenario.seed, cell), params=scenario.params)
         report.rounds_consumed += 1
         if run.transcript.aborted:
             report.reason = f"protocol aborted: {run.transcript.abort_reason}"
@@ -135,7 +132,7 @@ def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackRep
         sk2 = shamir_reconstruct(_pooled_shares(run, sybils, 0)[1])
         pair_secrets = {j: run.clients[j].pair_secrets[0] for j in sybils}
         # encode(w_0) = c_0 - client_mask_0, as the server unmasks a survivor
-        rec = field_sub(run.server.masked[0], client_mask(0, sk2, pair_secrets, run.server.dim, scenario.frac_bits))
+        rec = field_sub(run.server.masked[0], client_mask(0, sk2, pair_secrets, run.server.dim))
         report.recovered_field[cell] = rec
         report.recovered[cell] = decode_fixed(rec)
         max_err = max(max_err, _field_error(rec, _truth_field(scenario, cell)))
@@ -155,9 +152,7 @@ def run_share_compromise(
     if any(not (0 <= c < n) for c in controlled):
         raise ParameterError("controlled id out of range")
     if run is None:
-        run = run_protocol(
-            list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params, frac_bits=scenario.frac_bits
-        )
+        run = run_protocol(list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params)
     report.rounds_consumed = 1
     if run.transcript.aborted:
         report.reason = f"protocol aborted: {run.transcript.abort_reason}"
@@ -179,7 +174,7 @@ def run_share_compromise(
             for j in run.clients[cid].participants
             if j != cid
         }
-        rec = field_sub(run.server.masked[cid], client_mask(cid, sk2, pair_secrets, run.server.dim, scenario.frac_bits))
+        rec = field_sub(run.server.masked[cid], client_mask(cid, sk2, pair_secrets, run.server.dim))
         report.recovered_field[cid] = rec
         report.recovered[cid] = decode_fixed(rec)
         max_err = max(max_err, _field_error(rec, _truth_field(scenario, cid)))
@@ -219,7 +214,6 @@ def run_strategic_drop(scenario: AttackScenario, strategy: AdversaryStrategy) ->
                 k=scenario.k,
                 seed=_cell_seed(scenario.seed, attempt),
                 params=scenario.params,
-                frac_bits=scenario.frac_bits,
             )
             remap = {orig: pos for pos, orig in enumerate(selected)}
             sub_strategy = AdversaryStrategy(
@@ -253,7 +247,7 @@ def run_attack(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackR
     if strategy.kind == "strategic_drop":
         return run_strategic_drop(scenario, strategy)
     # honest-but-curious: observe the protocol, recover nothing
-    run_protocol(list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params, frac_bits=scenario.frac_bits)
+    run_protocol(list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params)
     return AttackReport(strategy=strategy, success=False, rounds_consumed=1, reason="passive observation only")
 
 

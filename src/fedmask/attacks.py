@@ -182,12 +182,12 @@ def mia_attack(
         # C = 1 - p_label and L_ce = -log p_label, so dC/dx = p_label * dL/dx
         return 1.0 - float(probs[label]), float(probs[label]) * gx[0]
 
-    costs = [cost_and_grad(x)[0]]
+    c, g = cost_and_grad(x)
+    costs = [c]
     visited = [x.copy()]
     for t in range(1, T + 1):
-        _, g = cost_and_grad(x)
         x = np.clip(x - eta * g, lo, hi)
-        c, _ = cost_and_grad(x)
+        c, g = cost_and_grad(x)
         costs.append(c)
         visited.append(x.copy())
         if c <= gamma:
@@ -267,9 +267,8 @@ def _g_loss(d: TinyModel, fake: np.ndarray) -> float:
     return 0.5 * float(np.mean((score - 1.0) ** 2))
 
 
-def _g_step(g: TinyModel, d_for_signal: TinyModel, z: np.ndarray, eta: float) -> TinyModel:
-    """One generator update pushing d(G(z)) toward the real label."""
-    fake = forward_batch(g, z)
+def _g_step(g: TinyModel, d_for_signal: TinyModel, z: np.ndarray, fake: np.ndarray, eta: float) -> TinyModel:
+    """One generator update pushing d(G(z)) toward the real label; fake is G(z)."""
     y_goal = np.ones((fake.shape[0], 1))
     # upstream gradient through the discriminator at the generated points
     _, up = input_gradient(d_for_signal, Batch(inputs=fake, labels=y_goal), "mse")
@@ -337,11 +336,12 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
             srng = rng.child("step", epoch, step)
             idx = srng.choice(n_real, min(B, n_real), replace=True)
             z = _gen_noise(srng, B, zdim)
+            fake = forward_batch(g, z)
             if not frozen:
-                d = _d_step(d, real_data[idx], forward_batch(g, z), schedule.eta_d, schedule.d_clip)
+                d = _d_step(d, real_data[idx], fake, schedule.eta_d, schedule.d_clip)
                 if mode != "masked":
                     signal_d = d
-            g = _g_step(g, signal_d, z, schedule.eta_g)
+            g = _g_step(g, signal_d, z, fake, schedule.eta_g)
 
     samples = forward_batch(g, _gen_noise(rng.child("eval"), 500, zdim))
     initial = float(np.mean(trace[:10])) if len(trace) >= 10 else float("inf")

@@ -44,26 +44,13 @@ class ThresholdError(ValueError):
 
 
 def modexp(base: int, exp: int, modulus: int) -> int:
-    """Square-and-multiply base^exp mod modulus.
-
-    Moduli beyond 64 bits delegate to the interpreter's C implementation of
-    the same windowed square-and-multiply; the explicit loop below is the
-    reference, exercised directly by small-modulus tests.
-    """
+    """base^exp mod modulus, by gmpy2's powmod when installed and by the
+    interpreter's windowed square-and-multiply otherwise."""
     if modulus < 2:
         raise ParameterError("modulus must be >= 2")
     if exp < 0:
         raise ParameterError("exponent must be >= 0")
-    if modulus.bit_length() > 64:
-        return int(_powmod(base, exp, modulus))
-    result = 1
-    base %= modulus
-    while exp:
-        if exp & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        exp >>= 1
-    return result
+    return int(_powmod(base, exp, modulus))
 
 
 @dataclass(frozen=True)
@@ -220,12 +207,12 @@ def _sha256_counter_stream(label: bytes, seed: int, nbytes: int) -> bytes:
     return b"".join(blocks)[:nbytes]
 
 
-def prg_expand(seed: int, dim: int, modulus: int = MERSENNE61, frac_bits: int = 24) -> FieldVector:
+def prg_expand(seed: int, dim: int) -> FieldVector:
     """Deterministically expand a seed into dim field elements.
 
     Keystream: SHA-256(SHA-256(b"prg|" + seed) || counter_be64) for counter
     = 0, 1, ..., with the seed in its canonical big-endian bytes.  Element i
-    is the i-th big-endian 64-bit word of that stream reduced mod modulus, so
+    is the i-th big-endian 64-bit word of that stream reduced mod 2^61 - 1, so
     each 32-byte block yields four elements and a shorter expansion is a
     prefix of a longer one.  Both protocol parties holding the same seed
     derive the identical vector.
@@ -234,7 +221,7 @@ def prg_expand(seed: int, dim: int, modulus: int = MERSENNE61, frac_bits: int = 
         raise ParameterError("dim must be >= 1")
     stream = _sha256_counter_stream(b"prg", seed, 8 * dim)
     words = np.frombuffer(stream, dtype=">u8", count=dim)
-    return FieldVector(words % np.uint64(modulus), modulus, frac_bits)
+    return FieldVector(words % np.uint64(MERSENNE61))
 
 
 def stream_xor(key_seed: int, data: bytes) -> bytes:

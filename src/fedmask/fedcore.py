@@ -29,7 +29,6 @@ class FedConfig:
     aggregator: str = "mean"
     aggregator_params: dict = field(default_factory=dict)
     weighted: bool = False  # weight client updates by dataset size
-    seed: int = 0
     # server-announced client count needed per aggregation; clients refuse to
     # mask below their configured minimum alpha for that threshold
     client_threshold: int | None = None

@@ -145,6 +145,15 @@ class ScenarioConfig:
             what, ok = _PARAM_TYPES[type(defaults[key])]
             if not ok(value):
                 raise ConfigError(f"aggregator_params: {key} must be {what}")
+        if self.kind == "fed_training":
+            # a dry call on n zero vectors runs the rule's own range checks;
+            # the vectors have the model's length when a v0 must match it
+            dim = GLYPH_PARAM_COUNT if "v0" in self.aggregator_params else 1
+            try:
+                aggregators.AGGREGATORS[self.aggregator]([np.zeros(dim)] * self.n, **self.aggregator_params)
+            except ParameterError as exc:
+                name = "aggregator_params" if self.aggregator_params else "aggregator"
+                raise ConfigError(f"{name}: {exc}") from exc
         for cid, rnd in self.dropout_after.items():
             if not (_is_int(cid) and _is_int(rnd) and 0 <= cid < self.n and 0 <= rnd <= 4):
                 raise ConfigError(f"dropout_after: bad entry {cid!r}: {rnd!r}")
@@ -294,6 +303,8 @@ def clt_check(n: int, alpha: float, dim: int = 100, n_seeds: int = 30, seed: int
 # ---------------------------------------------------------------------------
 
 GLYPH_MODEL_SIZES = (GLYPH_DIM, 32, GLYPH_CLASSES)
+# weights and biases of that model: the length of each vector fed_training aggregates
+GLYPH_PARAM_COUNT = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(GLYPH_MODEL_SIZES, GLYPH_MODEL_SIZES[1:]))
 
 
 def glyph_eval_set(seed: int = 7):
@@ -448,7 +459,6 @@ def fed_training_report(cfg: ScenarioConfig) -> ExperimentReport:
             alpha=cfg.alpha,
             aggregator=cfg.aggregator,
             aggregator_params=dict(cfg.aggregator_params),
-            seed=s,
         )
         trained = fedcore.run_fedavg(model, parts, fed_cfg, rng.child("fed"))
         rows.append((s, accuracy(trained, eval_inputs, eval_labels)))

@@ -2,26 +2,29 @@
 prime-field codec shared by every other module.
 
 Vectors are plain 1-D float64 numpy arrays ("param vectors").  Field vectors
-carry fixed-point encodings modulo a prime so that protocol mask arithmetic
-cancels exactly, with no floating-point drift.
+carry fixed-point encodings with 24 fractional bits modulo the prime
+2^61 - 1, one field for the whole protocol, so that mask arithmetic cancels
+exactly, with no floating-point drift.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 # Mersenne prime 2^61 - 1: fast reduction, and enough headroom above the
 # 24-fractional-bit encoding for sums of ~10^4 values.
 MERSENNE61 = (1 << 61) - 1
+_P = np.uint64(MERSENNE61)
 
 DEFAULT_FRAC_BITS = 24
-DEFAULT_MAX_SUMMANDS = 10_000
+MAX_SUMMANDS = 10_000
 
 # Weight values are clipped to this range before field encoding so that sums
-# of up to DEFAULT_MAX_SUMMANDS encoded values never wrap around the modulus.
+# of up to MAX_SUMMANDS encoded values never wrap around the modulus.
 ENCODE_CLIP = 32.0
 
 
@@ -146,22 +149,22 @@ def vec_mean(vectors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """Residues modulo a prime, encoding fixed-point reals.
+    """Residues modulo p = MERSENNE61, encoding fixed-point reals with
+    DEFAULT_FRAC_BITS fractional bits.  Every field vector uses this one
+    field; ``modulus`` and ``frac_bits`` are read-only class constants.
 
     residues: uint64 array, every entry in [0, p)
-    modulus:  the prime p
-    frac_bits: fractional bits of the fixed-point encoding
     """
 
     residues: np.ndarray
-    modulus: int = MERSENNE61
-    frac_bits: int = DEFAULT_FRAC_BITS
+    modulus: ClassVar[int] = MERSENNE61
+    frac_bits: ClassVar[int] = DEFAULT_FRAC_BITS
 
     def __post_init__(self):
         r = np.asarray(self.residues, dtype=np.uint64)
         if r.ndim != 1:
             raise ParameterError("residues must be 1-D")
-        if np.any(r >= np.uint64(self.modulus)):
+        if np.any(r >= _P):
             raise ParameterError("residue out of range [0, p)")
         object.__setattr__(self, "residues", r)
 
@@ -170,41 +173,27 @@ class FieldVector:
         return self.residues.shape[0]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldVector)
-            and self.modulus == other.modulus
-            and self.frac_bits == other.frac_bits
-            and np.array_equal(self.residues, other.residues)
-        )
+        return isinstance(other, FieldVector) and np.array_equal(self.residues, other.residues)
 
 
 def _check_compat(a: FieldVector, b: FieldVector) -> None:
-    if a.modulus != b.modulus or a.frac_bits != b.frac_bits:
-        raise ParameterError("field vectors use different parameters")
     if a.dim != b.dim:
         raise ParameterError(f"dim mismatch: {a.dim} vs {b.dim}")
 
 
 def field_add(a: FieldVector, b: FieldVector) -> FieldVector:
     _check_compat(a, b)
-    p = np.uint64(a.modulus)
     # residues < 2^61, so the sum fits in uint64 without overflow
-    return FieldVector((a.residues + b.residues) % p, a.modulus, a.frac_bits)
+    return FieldVector((a.residues + b.residues) % _P)
 
 
 def field_sub(a: FieldVector, b: FieldVector) -> FieldVector:
     _check_compat(a, b)
-    p = np.uint64(a.modulus)
-    return FieldVector((a.residues + (p - b.residues) % p) % p, a.modulus, a.frac_bits)
+    return FieldVector((a.residues + (_P - b.residues) % _P) % _P)
 
 
-def field_neg(a: FieldVector) -> FieldVector:
-    p = np.uint64(a.modulus)
-    return FieldVector((p - a.residues) % p, a.modulus, a.frac_bits)
-
-
-def field_zero(dim: int, modulus: int = MERSENNE61, frac_bits: int = DEFAULT_FRAC_BITS) -> FieldVector:
-    return FieldVector(np.zeros(dim, dtype=np.uint64), modulus, frac_bits)
+def field_zero(dim: int) -> FieldVector:
+    return FieldVector(np.zeros(dim, dtype=np.uint64))
 
 
 def field_sum(vectors) -> FieldVector:
@@ -217,37 +206,28 @@ def field_sum(vectors) -> FieldVector:
     return acc
 
 
-def encode_fixed(
-    v: np.ndarray,
-    frac_bits: int = DEFAULT_FRAC_BITS,
-    modulus: int = MERSENNE61,
-    max_summands: int = DEFAULT_MAX_SUMMANDS,
-) -> FieldVector:
+def encode_fixed(v: np.ndarray) -> FieldVector:
     """Encode reals as round(v * 2^f) mod p; negatives map to p - |.|.
 
-    Raises RangeError if any |v_i| * 2^f reaches p / (2 * max_summands), the
-    bound that guarantees sums of up to max_summands encoded values never
-    wrap the modulus.
+    Raises RangeError if any |v_i| * 2^f reaches p / (2 * MAX_SUMMANDS),
+    the bound that guarantees sums of up to MAX_SUMMANDS encoded values
+    never wrap the modulus.
     """
     v = as_vector(v)
-    scaled = np.rint(v * float(1 << frac_bits)).astype(np.int64)
-    bound = modulus // (2 * max_summands)
-    over = np.abs(scaled) >= bound
+    scaled = np.rint(v * float(1 << DEFAULT_FRAC_BITS)).astype(np.int64)
+    over = np.abs(scaled) >= MERSENNE61 // (2 * MAX_SUMMANDS)
     if np.any(over):
         i = int(np.argmax(over))
         raise RangeError(f"coordinate {i} (value {v[i]}) overflows the field encoding")
-    residues = np.where(scaled >= 0, scaled, modulus + scaled).astype(np.uint64)
-    return FieldVector(residues, modulus, frac_bits)
+    return FieldVector(np.where(scaled >= 0, scaled, MERSENNE61 + scaled).astype(np.uint64))
 
 
 def decode_fixed(fv: FieldVector) -> np.ndarray:
     """Inverse of encode_fixed up to quantization; residues > p/2 are negative."""
-    p = np.uint64(fv.modulus)
-    negative = fv.residues > p // np.uint64(2)
-    # both branches are below 2^63, so the magnitude is exact in int64
-    magnitude = np.where(negative, p - fv.residues, fv.residues).astype(np.int64)
-    signed = np.where(negative, -magnitude, magnitude)
-    return signed.astype(np.float64) / float(1 << fv.frac_bits)
+    # p < 2^63, so residues and their signed lifts r - p are exact in int64
+    r = fv.residues.astype(np.int64)
+    signed = np.where(r > MERSENNE61 // 2, r - MERSENNE61, r)
+    return signed.astype(np.float64) / float(1 << DEFAULT_FRAC_BITS)
 
 
 def clip_for_encoding(v: np.ndarray, limit: float = ENCODE_CLIP) -> np.ndarray:

@@ -163,7 +163,6 @@ class ClientState:
     k: int
     params: DhParams
     rng: Rng
-    frac_bits: int = 24
     phase: Phase = Phase.ADVERTISE
     kp1: KeyPair | None = None
     kp2: KeyPair | None = None
@@ -204,12 +203,12 @@ def _decode_share(d: dict) -> ShamirShare:
     )
 
 
-def client_mask(cid: int, sk2: int, pair_secrets: dict, dim: int, frac_bits: int) -> FieldVector:
+def client_mask(cid: int, sk2: int, pair_secrets: dict, dim: int) -> FieldVector:
     """M2(sk2) + sum_j sign(cid, j) * M(s_cid,j) over pair_secrets (peer id ->
     s_cid,j), where sign(cid, j) is +1 when cid < j and -1 otherwise."""
-    mask = prg_expand(seed_from_secret(sk2, label="m2"), dim, frac_bits=frac_bits)
+    mask = prg_expand(seed_from_secret(sk2, label="m2"), dim)
     for j, secret in pair_secrets.items():
-        m = prg_expand(seed_from_secret(secret, label="mask"), dim, frac_bits=frac_bits)
+        m = prg_expand(seed_from_secret(secret, label="mask"), dim)
         mask = field_add(mask, m) if cid < j else field_sub(mask, m)
     return mask
 
@@ -217,8 +216,8 @@ def client_mask(cid: int, sk2: int, pair_secrets: dict, dim: int, frac_bits: int
 def masked_input_vector(state: ClientState) -> FieldVector:
     """encode(w_i) + client_mask over the peers that completed key sharing."""
     peers = {j: state.pair_secrets[j] for j in state.participants if j != state.cid}
-    mask = client_mask(state.cid, state.kp2.sk, peers, state.weights.shape[0], state.frac_bits)
-    return field_add(encode_fixed(clip_for_encoding(state.weights), state.frac_bits), mask)
+    mask = client_mask(state.cid, state.kp2.sk, peers, state.weights.shape[0])
+    return field_add(encode_fixed(clip_for_encoding(state.weights)), mask)
 
 
 def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
@@ -276,9 +275,18 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
 def _client_masked_input(state: ClientState, inbox) -> tuple[ClientState, list]:
     (msg,) = [m for m in inbox if isinstance(m, ShareDelivery)]
     state.participants = tuple(sorted(msg.participants))
+    named = [j for j in state.participants if j != state.cid] + [owner for owner, _ in msg.bundles]
+    unknown = [j for j in named if j not in state.roster]
+    if unknown:
+        state.abort(f"share delivery names client {unknown[0]!r}, not in the roster")
+        return state, []
     for owner, blob in msg.bundles:
-        info = json.loads(stream_xor(_bundle_key(state, owner), blob))
-        state.held_shares[owner] = (_decode_share(info["sk1"]), _decode_share(info["sk2"]))
+        try:
+            info = json.loads(stream_xor(_bundle_key(state, owner), blob))
+            state.held_shares[owner] = (_decode_share(info["sk1"]), _decode_share(info["sk2"]))
+        except (ValueError, KeyError, TypeError):
+            state.abort(f"malformed key-share bundle from client {owner}")
+            return state, []
     if len(state.participants) < state.k:
         state.abort("below threshold at masked input")
         return state, []
@@ -328,7 +336,6 @@ def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
 class ServerState:
     k: int
     dim: int
-    frac_bits: int = 24
     params: DhParams = RFC3526_2048
     round: int = 0
     adverts: dict = field(default_factory=dict)  # id -> KeyAdvert
@@ -445,12 +452,12 @@ def _server_unmask_aggregate(state: ServerState) -> FieldVector:
     dropped_sk1 = {
         j: shamir_reconstruct(_collect_shares(state, j, "sk1")) for j in sorted(set(state.u2) - set(state.u3))
     }
-    total = field_zero(state.dim, frac_bits=state.frac_bits)
+    total = field_zero(state.dim)
     for cid in state.u3:
         sk2 = shamir_reconstruct(_collect_shares(state, cid, "sk2"))
         pk1 = state.adverts[cid].pk1
         pair_secrets = {j: modexp(pk1, sk1, state.params.prime) for j, sk1 in dropped_sk1.items()}
-        mask = client_mask(cid, sk2, pair_secrets, state.dim, state.frac_bits)
+        mask = client_mask(cid, sk2, pair_secrets, state.dim)
         total = field_add(total, field_sub(state.masked[cid], mask))
     return total
 
@@ -523,7 +530,6 @@ def run_protocol(
     seed: int = 0,
     dropout_after: dict | None = None,
     params: DhParams = RFC3526_2048,
-    frac_bits: int = 24,
 ) -> ProtocolRun:
     """Execute one full protocol round over the given client input vectors.
 
@@ -546,7 +552,7 @@ def run_protocol(
         cid: ClientState(cid=cid, weights=inputs[cid], k=k, params=params, rng=root.child("client", cid))
         for cid in range(n)
     }
-    server = ServerState(k=k, dim=dim, frac_bits=frac_bits, params=params)
+    server = ServerState(k=k, dim=dim, params=params)
 
     log: list[dict] = []
     pending: dict[int, list] = {cid: [] for cid in clients}

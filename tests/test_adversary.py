@@ -37,7 +37,7 @@ def test_mitm_one_honest_nine_sybils_bit_exact():
     report = run_mitm(scenario, AdversaryStrategy(kind="sybil_mitm", sybil_count=9))
     assert report.success
     assert report.max_field_error == 0
-    truth = encode_fixed(np.clip(scenario.inputs[0], -32, 32), 24)
+    truth = encode_fixed(np.clip(scenario.inputs[0], -32, 32))
     assert report.recovered_field[0] == truth
 
 
@@ -47,7 +47,7 @@ def test_mitm_three_honest_all_recovered():
     assert report.success
     assert set(report.recovered_field) == {0, 1, 2}
     for cid in range(3):
-        truth = encode_fixed(np.clip(scenario.inputs[cid], -32, 32), 24)
+        truth = encode_fixed(np.clip(scenario.inputs[cid], -32, 32))
         assert report.recovered_field[cid] == truth
 
 
@@ -76,7 +76,7 @@ def test_share_compromise_with_k_controlled_succeeds():
     assert report.success
     assert report.max_field_error == 0
     for cid in (1, 3):
-        truth = encode_fixed(np.clip(scenario.inputs[cid], -32, 32), 24)
+        truth = encode_fixed(np.clip(scenario.inputs[cid], -32, 32))
         assert report.recovered_field[cid] == truth
 
 

@@ -78,6 +78,9 @@ def test_unknown_key_rejected_by_name():
         {"kind": "attack_demo", "strategy": "sybil_mitm", "sybil_count": -1},
         {"kind": "fed_training", "aggregator": "krum", "aggregator_params": {"delta": "x"}},
         {"kind": "fed_training", "aggregator": "trimmed_mean", "aggregator_params": {"bogus": 1}},
+        {"kind": "fed_training", "n": 5, "aggregator": "trimmed_mean", "aggregator_params": {"zeta": 0.7}},
+        {"kind": "fed_training", "n": 5, "aggregator": "centered_clip", "aggregator_params": {"v0": [0.0]}},
+        {"kind": "fed_training", "n": 2, "aggregator": "krum"},
     ],
 )
 def test_bad_config_rejected(data):

@@ -1,11 +1,13 @@
 """Five-round aggregation protocol: correctness, dropout handling, abort
 paths, mask sign convention, and transcript replay."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from fedmask import secagg
 from fedmask.crypto import TOY_GROUP, prg_expand, seed_from_secret
 from fedmask.numeric import (
     ParameterError,
@@ -30,9 +32,9 @@ def random_inputs(n, dim, seed=0):
     return [rng.child(i).uniform(-1.0, 1.0, dim) for i in range(n)]
 
 
-def field_sum_oracle(inputs, frac_bits=24):
+def field_sum_oracle(inputs):
     """Plain field sum of the encoded inputs, the bit-exact expectation."""
-    return field_sum([encode_fixed(v, frac_bits) for v in inputs])
+    return field_sum([encode_fixed(v) for v in inputs])
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +122,69 @@ def test_dropout_before_any_message():
 
 
 # ---------------------------------------------------------------------------
+# Hostile key-share deliveries
+# ---------------------------------------------------------------------------
+
+
+def deliver_with(monkeypatch, change):
+    """Make the server pass every ShareDelivery through change(recipient, msg)."""
+    original = secagg._server_after_shares
+
+    def patched(state, inbox):
+        return {r: [change(r, m) for m in msgs] for r, msgs in original(state, inbox).items()}
+
+    monkeypatch.setattr(secagg, "_server_after_shares", patched)
+
+
+def assert_aborted_or_exact(t, inputs):
+    if t.aborted:
+        assert t.abort_reason
+    else:
+        assert t.aggregate_field == field_sum_oracle([inputs[i] for i in t.included])
+
+
+@pytest.mark.parametrize("flip", [0x01, 0x80])  # bad JSON, bad UTF-8
+def test_tampered_bundle_aborts_its_recipient(monkeypatch, flip):
+    def tamper(recipient, msg):
+        if recipient != 2:
+            return msg
+        (owner, blob), *rest = msg.bundles
+        return dataclasses.replace(msg, bundles=((owner, bytes([blob[0] ^ flip]) + blob[1:]), *rest))
+
+    deliver_with(monkeypatch, tamper)
+    inputs = random_inputs(4, 5, seed=17)
+    run = run_protocol(inputs, k=3, seed=17, params=TOY_GROUP)
+    assert run.clients[2].abort_reason == "malformed key-share bundle from client 0"
+    assert run.transcript.included == (0, 1, 3)
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda r, msg: dataclasses.replace(msg, participants=msg.participants + (99,)),
+        lambda r, msg: dataclasses.replace(msg, bundles=msg.bundles + ((99, b"\0"),)),
+    ],
+    ids=["participant", "bundle-owner"],
+)
+def test_unknown_client_in_delivery_aborts(monkeypatch, change):
+    deliver_with(monkeypatch, change)
+    inputs = random_inputs(4, 5, seed=18)
+    run = run_protocol(inputs, k=3, seed=18, params=TOY_GROUP)
+    for state in run.clients.values():
+        assert state.abort_reason == "share delivery names client 99, not in the roster"
+    assert run.transcript.aborted
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
+# ---------------------------------------------------------------------------
 # Mask structure
 # ---------------------------------------------------------------------------
 
 
 def prg_mask(secret, label, dim=4):
     """A mask expanded straight from the PRG, independent of secagg."""
-    return prg_expand(seed_from_secret(secret, label=label), dim, frac_bits=24)
+    return prg_expand(seed_from_secret(secret, label=label), dim)
 
 
 def test_pairwise_mask_sign_convention():
@@ -139,8 +197,8 @@ def test_pairwise_mask_sign_convention():
     assert s == cj.pair_secrets[0]
     m2_i, m2_j, m = prg_mask(ci.kp2.sk, "m2"), prg_mask(cj.kp2.sk, "m2"), prg_mask(s, "mask")
     # i (lower id) adds, j subtracts
-    mask_i = client_mask(0, ci.kp2.sk, {1: s}, 4, 24)
-    mask_j = client_mask(1, cj.kp2.sk, {0: s}, 4, 24)
+    mask_i = client_mask(0, ci.kp2.sk, {1: s}, 4)
+    mask_j = client_mask(1, cj.kp2.sk, {0: s}, 4)
     assert mask_i == field_add(m2_i, m)
     assert mask_j == field_sub(m2_j, m)
     # the pair's contributions cancel
@@ -152,7 +210,7 @@ def test_masked_input_vector_definition():
     run = run_protocol(random_inputs(3, 4, seed=10), k=2, seed=10, params=TOY_GROUP)
     state = run.clients[1]
     c = run.server.masked[1]
-    expected = field_add(encode_fixed(state.weights, 24), prg_mask(state.kp2.sk, "m2"))
+    expected = field_add(encode_fixed(state.weights), prg_mask(state.kp2.sk, "m2"))
     for j in state.participants:
         if j == 1:
             continue
@@ -165,7 +223,7 @@ def test_masked_input_vector_definition():
 def test_masked_input_hides_the_plain_encoding():
     inputs = random_inputs(2, 4, seed=11)
     run = run_protocol(inputs, k=2, seed=11, params=TOY_GROUP)
-    plain = encode_fixed(inputs[0], 24)
+    plain = encode_fixed(inputs[0])
     assert run.server.masked[0] != plain
 
 
