@@ -177,6 +177,46 @@ def test_unknown_client_in_delivery_aborts(monkeypatch, change):
     assert_aborted_or_exact(run.transcript, inputs)
 
 
+def sweep_tampered_share_bundle(monkeypatch, k):
+    """One 4-client round per byte of client 0's key-share bundle to client 2,
+    with that byte XOR-ed with 0x01 in transit; returns (inputs, transcripts)."""
+    pos = None
+
+    def tamper(recipient, msg):
+        if recipient != 2 or pos is None:
+            return msg
+        bundles = tuple((o, b[:pos] + bytes([b[pos] ^ 0x01]) + b[pos + 1 :] if o == 0 else b) for o, b in msg.bundles)
+        return dataclasses.replace(msg, bundles=bundles)
+
+    deliver_with(monkeypatch, tamper)
+    inputs = random_inputs(4, 4, seed=17)
+    clean = run_protocol(inputs, k, seed=17, params=TOY_GROUP).transcript
+    (shares,) = [m for m in clean.messages if m["type"] == "KeyShares" and m["sender"] == 0]
+    transcripts = []
+    for pos in range(len(bytes.fromhex(shares["bundles"]["2"]))):
+        transcripts.append(run_protocol(inputs, k, seed=17, params=TOY_GROUP).transcript)
+    return inputs, transcripts
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        2,
+        pytest.param(3, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="shares past the first k are never checked")),
+        pytest.param(4, marks=pytest.mark.xfail(strict=True, reason="an altered share value at exactly k shares needs the g^sk == pk check")),
+    ],
+)
+def test_tampered_share_aborts_or_stays_exact(monkeypatch, k):
+    inputs, transcripts = sweep_tampered_share_bundle(monkeypatch, k)
+    for t in transcripts:
+        assert_aborted_or_exact(t, inputs)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="a claimed share index reaches reconstruction")
+def test_tampered_share_never_raises(monkeypatch):
+    sweep_tampered_share_bundle(monkeypatch, 4)
+
+
 # ---------------------------------------------------------------------------
 # Mask structure
 # ---------------------------------------------------------------------------
