@@ -16,6 +16,7 @@ import numpy as np
 from .crypto import (
     DhParams,
     RFC3526_2048,
+    ProtocolError,
     ThresholdError,
     modexp,
     shamir_reconstruct,
@@ -266,7 +267,7 @@ def two_party_solve(aggregate_y, server_x2) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force hiding oracles (toy fields)
+# Hiding oracle (toy fields)
 # ---------------------------------------------------------------------------
 
 
@@ -274,34 +275,16 @@ def shamir_candidates(shares, prime: int) -> list[int]:
     """All secrets in [0, prime) consistent with the held shares.
 
     With fewer than threshold shares, a degree-(k-1) polynomial exists through
-    (0, s) and every held point for EVERY candidate s, so the scan returns the
-    whole field: the textbook hiding property, made explicit.
+    (0, s) and every held point for EVERY candidate s, so this is the whole
+    field: the textbook hiding property, made explicit.  With k or more, the
+    polynomial through the first k fixes s, so the only candidate is the secret
+    `shamir_reconstruct` returns, and there is none if a further share is off
+    that polynomial.
     """
     shares = list(shares)
-    if not shares:
+    if not shares or len(shares) < shares[0].threshold:
         return list(range(prime))
-    k = shares[0].threshold
-    candidates = []
-    for s in range(prime):
-        points = [(0, s)] + [(sh.index, sh.value) for sh in shares]
-        if len(points) <= k or _points_on_low_degree_poly(points, k, prime):
-            candidates.append(s)
-    return candidates
-
-
-def _points_on_low_degree_poly(points, k: int, prime: int) -> bool:
-    """True if all points lie on the degree-(k-1) polynomial through the first k."""
-    base = points[:k]
-    for x, y in points[k:]:
-        acc = 0
-        for i, (xi, yi) in enumerate(base):
-            num, den = 1, 1
-            for j, (xj, _) in enumerate(base):
-                if i == j:
-                    continue
-                num = (num * (x - xj)) % prime
-                den = (den * (xi - xj)) % prime
-            acc = (acc + yi * num * pow(den, -1, prime)) % prime
-        if acc != y % prime:
-            return False
-    return True
+    try:
+        return [shamir_reconstruct(shares)]
+    except ProtocolError:
+        return []

@@ -9,6 +9,7 @@ security.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,8 +161,20 @@ def shamir_split(secret: int, k: int, n: int, rng: Rng, prime: int = SHARING_PRI
     return shares
 
 
+def _interpolate(points, xs, prime: int) -> list[int]:
+    """Values at each x in xs of the polynomial of degree < len(points)
+    through points, (x, y) pairs with distinct x, by Lagrange's formula; each
+    base point's denominator is inverted once, however many xs there are."""
+    weights = [yi * pow(math.prod(xi - xj for xj, _ in points if xj != xi), -1, prime) for xi, yi in points]
+    return [
+        sum(w * math.prod(x - xj for xj, _ in points if xj != xi) for (xi, _), w in zip(points, weights)) % prime
+        for x in xs
+    ]
+
+
 def shamir_reconstruct(shares) -> int:
-    """Lagrange interpolation at 0 over at least k distinct-index shares."""
+    """The secret at 0 of the polynomial through the first k shares; every
+    further share must lie on that polynomial too, or ProtocolError names it."""
     shares = list(shares)
     if not shares:
         raise ThresholdError("no shares given")
@@ -172,17 +185,11 @@ def shamir_reconstruct(shares) -> int:
         raise ParameterError("duplicate share indices")
     if len(shares) < k:
         raise ThresholdError(f"need {k} shares, got {len(shares)}")
-    shares = shares[:k] if len(shares) > k else shares
-    secret = 0
-    for i, si in enumerate(shares):
-        num, den = 1, 1
-        for j, sj in enumerate(shares):
-            if i == j:
-                continue
-            num = (num * (-sj.index)) % prime
-            den = (den * (si.index - sj.index)) % prime
-        lagrange = num * pow(den, -1, prime) % prime
-        secret = (secret + si.value * lagrange) % prime
+    rest = shares[k:]
+    secret, *checks = _interpolate([(s.index, s.value) for s in shares[:k]], [0] + [s.index for s in rest], prime)
+    for s, value in zip(rest, checks):
+        if value != s.value % prime:
+            raise ProtocolError(f"share {s.index} is off the polynomial through the first {k}")
     return secret
 
 

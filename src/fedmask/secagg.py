@@ -27,8 +27,10 @@ import numpy as np
 from .crypto import (
     DhParams,
     KeyPair,
+    ProtocolError,
     RFC3526_2048,
     ShamirShare,
+    ThresholdError,
     dh_shared_secret,
     generate_keypair,
     modexp,
@@ -423,25 +425,34 @@ def _server_after_consistency(state: ServerState, inbox) -> dict:
 
 def _server_after_unmask(state: ServerState, inbox) -> dict:
     for m in inbox:
-        state.unmask[m.sender] = m
+        if m.sender in state.u3:
+            state.unmask[m.sender] = m
     if len(state.unmask) < state.k:
         state.aborted = True
         state.abort_reason = "below threshold: too few unmask responses"
         return {}
-    state.aggregate_field = _server_unmask_aggregate(state)
+    try:
+        state.aggregate_field = _server_unmask_aggregate(state)
+    except ProtocolError as e:
+        state.aborted = True
+        state.abort_reason = str(e)
     return {}
 
 
-def _collect_shares(state: ServerState, owner: int, kind: str):
+def _reconstruct(state: ServerState, owner: int, kind: str) -> int:
+    """owner's sk1 or sk2 from the unmask responses.  The x-th smallest id in
+    U1 was sent share x, so a share's index is its sender's position there and
+    only its value is read from the message."""
+    u1 = state.u1
     shares = []
-    seen = set()
-    for m in state.unmask.values():
+    for cid, m in sorted(state.unmask.items()):
         pool = m.sk1_shares if kind == "sk1" else m.sk2_shares
-        share = pool.get(owner)
-        if share is not None and share.index not in seen:
-            seen.add(share.index)
-            shares.append(share)
-    return shares
+        if owner in pool:
+            shares.append(ShamirShare(index=u1.index(cid) + 1, value=pool[owner].value, threshold=state.k, total=len(u1)))
+    try:
+        return shamir_reconstruct(shares)
+    except (ThresholdError, ProtocolError) as e:
+        raise ProtocolError(f"cannot reconstruct {kind} of client {owner}: {e}") from e
 
 
 def _server_unmask_aggregate(state: ServerState) -> FieldVector:
@@ -449,12 +460,10 @@ def _server_unmask_aggregate(state: ServerState) -> FieldVector:
     between two survivors cancel in the sum, so each survivor's mask needs
     only its sk2 and its pair secrets with the clients dropped after key
     sharing, derived from their reconstructed sk1 keys."""
-    dropped_sk1 = {
-        j: shamir_reconstruct(_collect_shares(state, j, "sk1")) for j in sorted(set(state.u2) - set(state.u3))
-    }
+    dropped_sk1 = {j: _reconstruct(state, j, "sk1") for j in sorted(set(state.u2) - set(state.u3))}
     total = field_zero(state.dim)
     for cid in state.u3:
-        sk2 = shamir_reconstruct(_collect_shares(state, cid, "sk2"))
+        sk2 = _reconstruct(state, cid, "sk2")
         pk1 = state.adverts[cid].pk1
         pair_secrets = {j: modexp(pk1, sk1, state.params.prime) for j, sk1 in dropped_sk1.items()}
         mask = client_mask(cid, sk2, pair_secrets, state.dim)

@@ -1,8 +1,12 @@
 """Malicious-server strategies: MITM, share compromise, strategic dropping,
 the two-party solve, and the brute-force hiding oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmask.adversary import (
     AdversaryStrategy,
@@ -200,3 +204,54 @@ def test_shamir_candidates_at_threshold_pins_secret():
 
 def test_shamir_candidates_no_shares():
     assert shamir_candidates([], 13) == list(range(13))
+
+
+def scan_candidates(shares, prime):
+    """Reference oracle: every s in [0, prime) for which (0, s) and all the
+    held points lie on one polynomial of degree below the threshold, found by
+    checking each s in turn with an independent Lagrange evaluation."""
+    shares = list(shares)
+    if not shares:
+        return list(range(prime))
+    k = shares[0].threshold
+    candidates = []
+    for s in range(prime):
+        points = [(0, s)] + [(sh.index, sh.value) for sh in shares]
+        if len(points) <= k or points_on_low_degree_poly(points, k, prime):
+            candidates.append(s)
+    return candidates
+
+
+def points_on_low_degree_poly(points, k, prime):
+    """True if all points lie on the degree-(k-1) polynomial through the first k."""
+    base = points[:k]
+    for x, y in points[k:]:
+        acc = 0
+        for i, (xi, yi) in enumerate(base):
+            num, den = 1, 1
+            for j, (xj, _) in enumerate(base):
+                if i == j:
+                    continue
+                num = (num * (x - xj)) % prime
+                den = (den * (xi - xj)) % prime
+            acc = (acc + yi * num * pow(den, -1, prime)) % prime
+        if acc != y % prime:
+            return False
+    return True
+
+
+@given(st.integers(0, 100), st.integers(1, 6), st.integers(0, 1000), st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_shamir_candidates_match_scan(secret, n, seed, data):
+    prime = 101
+    k = data.draw(st.integers(1, n), label="k")
+    shares = shamir_split(secret, k, n, Rng(seed).child("h"), prime=prime)
+    held = data.draw(st.permutations(range(n)), label="order")[: data.draw(st.integers(0, n), label="held")]
+    altered = data.draw(st.lists(st.sampled_from(held), unique=True, max_size=2) if held else st.just([]), label="altered")
+    subset = [
+        dataclasses.replace(shares[i], value=(shares[i].value + data.draw(st.integers(1, prime - 1))) % prime)
+        if i in altered
+        else shares[i]
+        for i in held
+    ]
+    assert shamir_candidates(subset, prime) == scan_candidates(subset, prime)

@@ -1,6 +1,7 @@
 """Modular exponentiation, Diffie-Hellman, Shamir sharing, PRG expansion,
 stream cipher, and Schnorr signatures."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fedmask import secagg
 from fedmask.crypto import (
     DhParams,
+    ProtocolError,
     RFC3526_2048,
     SHARING_PRIME,
     ShamirShare,
@@ -182,6 +184,18 @@ def test_shamir_below_threshold_raises():
         shamir_reconstruct(shares[:2])
     with pytest.raises(ThresholdError):
         shamir_reconstruct([])
+
+
+def test_shamir_reconstruct_checks_every_share_past_k():
+    prime = 7919
+    shares = shamir_split(42, 3, 6, Rng(6).child("s"), prime=prime)
+    assert shamir_reconstruct(shares) == 42
+    for i in range(3, 6):
+        altered = list(shares)
+        altered[i] = dataclasses.replace(shares[i], value=(shares[i].value + 1) % prime)
+        with pytest.raises(ProtocolError, match=f"share {i + 1} is off the polynomial"):
+            shamir_reconstruct(altered)
+        assert shamir_reconstruct(altered[:3]) == 42  # the first k alone never see it
 
 
 def test_shamir_duplicate_indices_rejected():
