@@ -236,6 +236,15 @@ def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
     return handler(state, inbox)
 
 
+def _one(state: ClientState, inbox, kind):
+    """The one message of type kind in inbox, or None after aborting the client."""
+    msgs = [m for m in inbox if isinstance(m, kind)]
+    if len(msgs) != 1:
+        state.abort(f"expected one {kind.__name__}, got {len(msgs)}")
+        return None
+    return msgs[0]
+
+
 def _client_advertise(state: ClientState, inbox) -> tuple[ClientState, list]:
     state.kp1 = generate_keypair(state.params, state.rng.child("kp1"))
     state.kp2 = generate_keypair(state.params, state.rng.child("kp2"))
@@ -245,7 +254,9 @@ def _client_advertise(state: ClientState, inbox) -> tuple[ClientState, list]:
 
 
 def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
-    (msg,) = [m for m in inbox if isinstance(m, RosterBroadcast)]
+    msg = _one(state, inbox, RosterBroadcast)
+    if msg is None:
+        return state, []
     for cid, pk1, pk2, sig in msg.roster:
         if cid == state.cid:
             continue
@@ -253,8 +264,12 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
             state.abort(f"bad keypair signature from client {cid}")
             return state, []
         state.roster[cid] = (pk1, pk2)
-        state.pair_secrets[cid] = dh_shared_secret(state.kp1, pk1, state.params)
-        state.enc_secrets[cid] = dh_shared_secret(state.kp2, pk2, state.params)
+        try:
+            state.pair_secrets[cid] = dh_shared_secret(state.kp1, pk1, state.params)
+            state.enc_secrets[cid] = dh_shared_secret(state.kp2, pk2, state.params)
+        except ProtocolError:
+            state.abort(f"bad public key from client {cid}")
+            return state, []
     ids = sorted([e[0] for e in msg.roster])
     if len(ids) < state.k:
         state.abort("below threshold at key sharing")
@@ -275,7 +290,9 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
 
 
 def _client_masked_input(state: ClientState, inbox) -> tuple[ClientState, list]:
-    (msg,) = [m for m in inbox if isinstance(m, ShareDelivery)]
+    msg = _one(state, inbox, ShareDelivery)
+    if msg is None:
+        return state, []
     state.participants = tuple(sorted(msg.participants))
     named = [j for j in state.participants if j != state.cid] + [owner for owner, _ in msg.bundles]
     unknown = [j for j in named if j not in state.roster]
@@ -298,7 +315,9 @@ def _client_masked_input(state: ClientState, inbox) -> tuple[ClientState, list]:
 
 
 def _client_consistency(state: ClientState, inbox) -> tuple[ClientState, list]:
-    (msg,) = [m for m in inbox if isinstance(m, SurvivorBroadcast)]
+    msg = _one(state, inbox, SurvivorBroadcast)
+    if msg is None:
+        return state, []
     survivors = tuple(sorted(msg.survivors))
     if len(survivors) < state.k:
         state.abort("below threshold at consistency check")
@@ -310,7 +329,9 @@ def _client_consistency(state: ClientState, inbox) -> tuple[ClientState, list]:
 
 
 def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
-    (msg,) = [m for m in inbox if isinstance(m, UnmaskRequest)]
+    msg = _one(state, inbox, UnmaskRequest)
+    if msg is None:
+        return state, []
     if set(msg.dropped) & set(msg.survivors):
         state.abort("server requested both masks for one client")
         return state, []

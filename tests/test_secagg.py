@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedmask import secagg
-from fedmask.crypto import TOY_GROUP, prg_expand, seed_from_secret
+from fedmask.crypto import TOY_GROUP, prg_expand, seed_from_secret, sign
 from fedmask.numeric import (
     ParameterError,
     Rng,
@@ -173,6 +173,59 @@ def test_unknown_client_in_delivery_aborts(monkeypatch, change):
     run = run_protocol(inputs, k=3, seed=18, params=TOY_GROUP)
     for state in run.clients.values():
         assert state.abort_reason == "share delivery names client 99, not in the roster"
+    assert run.transcript.aborted
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
+def test_missing_share_delivery_aborts_its_recipient(monkeypatch):
+    original = secagg._server_after_shares
+
+    def patched(state, inbox):
+        out = original(state, inbox)
+        out[2] = []
+        return out
+
+    monkeypatch.setattr(secagg, "_server_after_shares", patched)
+    inputs = random_inputs(4, 5, seed=19)
+    run = run_protocol(inputs, k=3, seed=19, params=TOY_GROUP)
+    assert run.clients[2].abort_reason == "expected one ShareDelivery, got 0"
+    assert run.transcript.included == (0, 1, 3)
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
+def test_doubled_survivor_broadcast_aborts_every_client(monkeypatch):
+    original = secagg._server_after_masked
+
+    def patched(state, inbox):
+        out = original(state, inbox)
+        out[secagg.SERVER] = out[secagg.SERVER] * 2
+        return out
+
+    monkeypatch.setattr(secagg, "_server_after_masked", patched)
+    inputs = random_inputs(4, 5, seed=20)
+    run = run_protocol(inputs, k=3, seed=20, params=TOY_GROUP)
+    for state in run.clients.values():
+        assert state.abort_reason == "expected one SurvivorBroadcast, got 2"
+    assert run.transcript.aborted
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
+def test_signed_public_key_out_of_range_aborts_its_recipients(monkeypatch):
+    original = secagg._client_advertise
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        if state.cid != 1:
+            return state, out
+        (advert,) = out
+        sig = sign(secagg.advert_signing_bytes(1, advert.pk1, 1), state.kp1.sk, state.params)
+        return state, [dataclasses.replace(advert, pk2=1, sig=sig)]
+
+    monkeypatch.setattr(secagg, "_client_advertise", patched)
+    inputs = random_inputs(4, 5, seed=21)
+    run = run_protocol(inputs, k=3, seed=21, params=TOY_GROUP)
+    for cid in (0, 2, 3):
+        assert run.clients[cid].abort_reason == "bad public key from client 1"
     assert run.transcript.aborted
     assert_aborted_or_exact(run.transcript, inputs)
 
