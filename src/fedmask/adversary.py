@@ -1,6 +1,7 @@
 """Malicious-server strategies executed against the aggregation protocol:
 Sybil man-in-the-middle, share compromise, strategic dropping, and the
-two-party algebraic solve.
+two-party algebraic solve, plus the closed-form set of secrets consistent
+with a set of Shamir shares.
 
 Successful attacks recover honest clients' encoded weight vectors bit-exactly
 (the comparisons are in field arithmetic, with no tolerance).

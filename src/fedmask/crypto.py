@@ -1,6 +1,9 @@
 """Modular-arithmetic primitives for the aggregation protocol: Diffie-Hellman,
 Shamir threshold sharing, PRG mask expansion, and Schnorr signatures.
 
+Shamir reconstruction uses every share it is given: it interpolates through
+the first k and rejects any further share off that polynomial.
+
 Everything here is simulation-grade.  No constant-time guarantees, no side
 channel resistance, and key sizes are chosen for determinism and speed, not
 security.
