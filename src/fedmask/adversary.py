@@ -16,8 +16,8 @@ import numpy as np
 
 from .crypto import (
     DhParams,
-    RFC3526_2048,
     ProtocolError,
+    RFC3526_2048,
     ThresholdError,
     modexp,
     shamir_reconstruct,

@@ -246,8 +246,8 @@ def test_property_shamir_candidates_match_scan(secret, n, seed, data):
     prime = 101
     k = data.draw(st.integers(1, n), label="k")
     shares = shamir_split(secret, k, n, Rng(seed).child("h"), prime=prime)
-    held = data.draw(st.permutations(range(n)), label="order")[: data.draw(st.integers(0, n), label="held")]
-    altered = data.draw(st.lists(st.sampled_from(held), unique=True, max_size=2) if held else st.just([]), label="altered")
+    held = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="held")
+    altered = held[: data.draw(st.integers(0, 2), label="altered")]
     subset = [
         dataclasses.replace(shares[i], value=(shares[i].value + data.draw(st.integers(1, prime - 1))) % prime)
         if i in altered
