@@ -19,6 +19,7 @@ from .models import (
     input_gradient,
     lm_log_perplexity,
     mask_bigram_probs,
+    per_example_backward,
     softmax,
     unflatten,
 )
@@ -70,16 +71,18 @@ def gradient_difference(model: TinyModel, known_grad: np.ndarray, x: np.ndarray,
     return float(d @ d)
 
 
-def _fd_gradient(objective, v: np.ndarray, h: float) -> np.ndarray:
-    """Central finite differences of a scalar objective over a flat vector."""
-    g = np.empty_like(v)
-    for i in range(v.shape[0]):
-        vp = v.copy()
-        vp[i] += h
-        vm = v.copy()
-        vm[i] -= h
-        g[i] = (objective(vp) - objective(vm)) / (2.0 * h)
-    return g
+def _batched_fd_gradient(model: TinyModel, known_grad: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Central finite differences of gradient_difference over v = (x, y).
+
+    The 2n probe points v + h e_i and v - h e_i are the rows of v + hI and
+    v - hI, and one per_example_backward call gives all their gradients."""
+    n, din = v.shape[0], model.input_dim
+    step = h * np.eye(n)
+    probes = np.concatenate([v + step, v - step])
+    diff = per_example_backward(model, probes[:, :din], probes[:, din:], "mse")
+    diff -= known_grad
+    sq = np.einsum("ij,ij->i", diff, diff)
+    return (sq[:n] - sq[n:]) / (2.0 * h)
 
 
 def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgConfig) -> ReconstructionReport:
@@ -106,7 +109,7 @@ def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgC
         if not np.isfinite(d):
             aborted = "non-finite objective"
             break
-        g = _fd_gradient(objective, v, cfg.fd_step)
+        g = _batched_fd_gradient(model, known_grad, v, cfg.fd_step)
         stepped = False
         for _ in range(30):
             v_new = v - eta * g

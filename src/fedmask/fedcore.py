@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aggregators
-from .models import Batch, TinyModel, backward, flatten, unflatten
+from .models import Batch, TinyModel, backward, flatten, per_example_backward, unflatten
 from .numeric import ParameterError, Rng, uniform_mask
 
 
@@ -170,13 +170,9 @@ def _sample_group(n: int, cfg: DpConfig, rng: Rng, step: int) -> np.ndarray:
     return np.nonzero(draws < rate)[0]
 
 
-def _per_example_grads(model: TinyModel, inputs, labels, idx, loss: str):
-    grads = []
-    for i in idx:
-        batch = Batch(inputs=inputs[i : i + 1], labels=np.asarray(labels)[i : i + 1])
-        _, g = backward(model, batch, loss)
-        grads.append(g)
-    return grads
+def _per_example_grads(model: TinyModel, inputs, labels, idx, loss: str) -> np.ndarray:
+    """One row per sampled example: the gradient of that example's own loss."""
+    return per_example_backward(model, inputs[idx], np.asarray(labels)[idx], loss)
 
 
 def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):

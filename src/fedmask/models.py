@@ -161,38 +161,39 @@ def _forward_trace(model: TinyModel, X: np.ndarray):
     return pre, activations
 
 
+def _loss_head(out: np.ndarray, labels, loss: str):
+    """Summed loss over the batch and each example's own output delta
+    dL_i/d out_i (unscaled: the mse residual, or softmax minus one-hot)."""
+    if loss == "mse":
+        targets = np.asarray(labels, dtype=np.float64)
+        if targets.shape != out.shape:
+            raise ParameterError("mse targets must match output shape")
+        resid = out - targets
+        return 0.5 * float(np.sum(resid * resid)), resid
+    if loss == "cross_entropy":
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 1:
+            raise ParameterError("cross_entropy labels must be class indices")
+        probs = softmax(out)
+        rows = np.arange(out.shape[0])
+        picked = probs[rows, labels]
+        probs[rows, labels] -= 1.0
+        return -float(np.sum(np.log(np.maximum(picked, 1e-300)))), probs
+    raise ParameterError(f"unknown loss {loss!r}")
+
+
 def _backward_full(model: TinyModel, batch: Batch, loss: str):
     """Loss, flat parameter gradient, and input gradient for a batch."""
     if batch.inputs.shape[1] != model.input_dim:
         raise ParameterError("batch input dim does not match model")
     pre, acts = _forward_trace(model, batch.inputs)
-    out = acts[-1]
     B = batch.size
-
-    if loss == "mse":
-        targets = np.asarray(batch.labels, dtype=np.float64)
-        if targets.shape != out.shape:
-            raise ParameterError("mse targets must match output shape")
-        resid = out - targets
-        loss_value = 0.5 * float(np.sum(resid * resid)) / B
-        dout = resid / B
-    elif loss == "cross_entropy":
-        labels = np.asarray(batch.labels, dtype=np.int64)
-        if labels.ndim != 1:
-            raise ParameterError("cross_entropy labels must be class indices")
-        probs = softmax(out)
-        picked = probs[np.arange(B), labels]
-        loss_value = -float(np.sum(np.log(np.maximum(picked, 1e-300)))) / B
-        dout = probs.copy()
-        dout[np.arange(B), labels] -= 1.0
-        dout /= B
-    else:
-        raise ParameterError(f"unknown loss {loss!r}")
+    loss_sum, dout = _loss_head(acts[-1], batch.labels, loss)
 
     deriv = _ACT_DERIV[model.activation]
     grad_w = [None] * len(model.weights)
     grad_b = [None] * len(model.biases)
-    delta = dout * deriv(acts[-1], pre[-1])
+    delta = (dout / B) * deriv(acts[-1], pre[-1])
     for layer in range(len(model.weights) - 1, -1, -1):
         grad_w[layer] = acts[layer].T @ delta
         grad_b[layer] = np.sum(delta, axis=0)
@@ -201,7 +202,39 @@ def _backward_full(model: TinyModel, batch: Batch, loss: str):
         else:
             input_grad = delta @ model.weights[0].T
     flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(grad_w, grad_b)])
-    return loss_value, flat, input_grad
+    return loss_sum / B, flat, input_grad
+
+
+def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.ndarray:
+    """(B, param_count) matrix whose row i is the flat gradient of example
+    i's own loss, from one forward trace.
+
+    Goodfellow's per-example trick ("Efficient Per-Example Gradient
+    Computations", arXiv:1510.01799): a layer's weight gradient for one
+    example is the outer product of its input activation and its delta, so
+    the (B, ...) deltas are backpropagated once and each example's outer
+    products are written straight into its row.  For B = 1 the row equals
+    ``backward`` bit for bit; for larger B the batched matmuls may round the
+    backpropagated deltas differently in the last bits.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ParameterError("inputs must be (B, din) matching the model")
+    pre, acts = _forward_trace(model, X)
+    _, dout = _loss_head(acts[-1], Y, loss)
+    B = X.shape[0]
+    starts = np.cumsum([0] + [w.size + b.size for w, b in zip(model.weights, model.biases)])
+    grads = np.empty((B, model.param_count))
+    deriv = _ACT_DERIV[model.activation]
+    delta = dout * deriv(acts[-1], pre[-1])
+    for layer in range(len(model.weights) - 1, -1, -1):
+        nin, nout = model.weights[layer].shape
+        w_end = starts[layer] + nin * nout
+        np.multiply(acts[layer][:, :, None], delta[:, None, :], out=grads[:, starts[layer] : w_end].reshape(B, nin, nout))
+        grads[:, w_end : starts[layer + 1]] = delta
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * deriv(acts[layer], pre[layer - 1])
+    return grads
 
 
 def backward(model: TinyModel, batch: Batch, loss: str = "mse"):

@@ -13,7 +13,7 @@ from fedmask.attacks import (
     GanPair,
     GanSchedule,
     LP_PROB_FLOOR,
-    _fd_gradient,
+    _batched_fd_gradient,
     calibrate_dlg_alpha,
     default_gan_pair,
     dlg_attack,
@@ -23,7 +23,7 @@ from fedmask.attacks import (
     mia_attack,
     mode_distance,
 )
-from fedmask.data import make_gaussian_mixture, make_token_corpus, mixture_means
+from fedmask.data import make_gaussian_mixture, make_glyphs, make_token_corpus, mixture_means
 from fedmask.models import Batch, TinyModel, backward, init_model, train_bigram
 from fedmask.numeric import ParameterError, Rng
 
@@ -55,10 +55,7 @@ def test_fd_gradient_matches_analytic_on_linear_model():
     known = np.concatenate([G.ravel(), h_t])
     v = rng.uniform(-1, 1, din + dout)
 
-    def objective(vec):
-        return gradient_difference(model, known, vec[:din], vec[din:])
-
-    fd = _fd_gradient(objective, v.copy(), 1e-4)
+    fd = _batched_fd_gradient(model, known, v.copy(), 1e-4)
 
     # analytic: r = xW + b - y; grad_w = x^T r, grad_b = r
     x, y = v[:din], v[din:]
@@ -77,6 +74,44 @@ def test_fd_gradient_matches_analytic_on_linear_model():
         gy[j] += 2 * (r[j] - h_t[j]) * (-1.0)
     analytic = np.concatenate([gx, gy])
     assert np.max(np.abs(fd - analytic)) / max(np.max(np.abs(analytic)), 1.0) < 1e-6
+
+
+def loop_fd_gradient(objective, v, h):
+    """Reference: one objective call per probe point, coordinate by
+    coordinate, as the attack computed its gradient before batching."""
+    g = np.empty_like(v)
+    for i in range(v.shape[0]):
+        vp = v.copy()
+        vp[i] += h
+        vm = v.copy()
+        vm[i] -= h
+        g[i] = (objective(vp) - objective(vm)) / (2.0 * h)
+    return g
+
+
+def test_batched_fd_gradient_matches_probe_loop():
+    """Criterion 06's 64-8-4 tanh setup, seed 0: at the dummy start point and
+    the first five iterates the batched probes agree with the loop."""
+    seed = 0
+    model = init_model((64, 8, 4), "tanh", Rng(seed).child("model"))
+    inputs, _ = make_glyphs(1, Rng(seed).child("data"))
+    y = Rng(seed).child("y").uniform(-1.0, 1.0, 4)
+    truth = Batch(inputs=inputs[:1], labels=y[None, :])
+    _, known = backward(model, truth, "mse")
+    cfg = DlgConfig(seed=seed)
+    points = [Rng(seed).child("dlg-init").normal(0.0, cfg.init_scale, 68)]
+    for iterations in range(1, 6):
+        report = dlg_attack(model, known, truth, DlgConfig(seed=seed, iterations=iterations))
+        points.append(np.concatenate([report.recovered_x, report.recovered_y]))
+    assert len({p.tobytes() for p in points}) == 6
+
+    def objective(vec):
+        return gradient_difference(model, known, vec[:64], vec[64:])
+
+    for v in points:
+        want = loop_fd_gradient(objective, v, cfg.fd_step)
+        got = _batched_fd_gradient(model, known, v, cfg.fd_step)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_dlg_recovers_single_example_small_model():

@@ -21,6 +21,7 @@ from fedmask.models import (
     input_gradient,
     lm_log_perplexity,
     mask_bigram_probs,
+    per_example_backward,
     sgd_step,
     softmax,
     train_bigram,
@@ -215,8 +216,48 @@ def test_input_gradient_matches_finite_differences():
 
 def test_unknown_loss_rejected():
     model = init_model((2, 2), "tanh", Rng(0))
+    batch = xor_batch()
     with pytest.raises(ParameterError):
-        backward(model, xor_batch(), "hinge")
+        backward(model, batch, "hinge")
+    with pytest.raises(ParameterError, match="unknown loss"):
+        per_example_backward(model, batch.inputs, batch.labels, "hinge")
+
+
+def per_example_case(seed, activation, loss, sizes, B):
+    model = init_model(sizes, activation, Rng(seed).child("model"))
+    rng = Rng(seed).child("batch")
+    x = rng.uniform(-1, 1, B * sizes[0]).reshape(B, sizes[0])
+    if loss == "mse":
+        y = rng.uniform(-1, 1, B * sizes[-1]).reshape(B, sizes[-1])
+    else:
+        y = np.asarray(rng.integers(0, sizes[-1], size=B))
+    return model, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(ACTIVATIONS),
+    loss=st.sampled_from(["mse", "cross_entropy"]),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    B=st.integers(1, 40),
+)
+def test_property_per_example_rows_match_single_example_backward(seed, activation, loss, sizes, B):
+    model, x, y = per_example_case(seed, activation, loss, tuple(sizes), B)
+    grads = per_example_backward(model, x, y, loss)
+    assert grads.shape == (B, model.param_count)
+    for i in range(B):
+        _, want = backward(model, Batch(inputs=x[i : i + 1], labels=y[i : i + 1]), loss)
+        assert np.max(np.abs(grads[i] - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_per_example_backward_single_row_is_backward_bit_for_bit(activation, loss):
+    model, x, y = per_example_case(3, activation, loss, (5, 4, 3, 3), 1)
+    (row,) = per_example_backward(model, x, y, loss)
+    _, want = backward(model, Batch(inputs=x, labels=y), loss)
+    assert np.array_equal(row, want)
 
 
 # ---------------------------------------------------------------------------
