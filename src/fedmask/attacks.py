@@ -5,6 +5,7 @@ of a bigram language model, each runnable with and without weight masking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,9 @@ class DlgConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
-        if self.fd_step <= 0:
-            raise ParameterError("finite-difference step must be > 0")
+        for name in ("eta", "fd_step", "mse_threshold", "init_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0")
 
 
 @dataclass

@@ -132,6 +132,10 @@ def test_dlg_config_validation():
         DlgConfig(iterations=0)
     with pytest.raises(ParameterError):
         DlgConfig(fd_step=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for name in ("eta", "fd_step", "mse_threshold", "init_scale"):
+            with pytest.raises(ParameterError, match=name):
+                DlgConfig(**{name: bad})
 
 
 def test_calibrate_dlg_alpha_plumbing():
