@@ -335,6 +335,12 @@ def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
     if set(msg.dropped) & set(msg.survivors):
         state.abort("server requested both masks for one client")
         return state, []
+    # a client this one signed as a survivor keeps its sk1 hidden, whatever
+    # the server tells the other clients
+    signed = [j for j in msg.dropped if j in state.consistency_list]
+    if signed:
+        state.abort(f"server requested sk1 of client {signed[0]}, a signed survivor")
+        return state, []
     expected = roster_signing_bytes(state.consistency_list)
     for cid, sig in msg.sigs:
         if cid == state.cid:

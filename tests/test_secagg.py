@@ -230,6 +230,28 @@ def test_signed_public_key_out_of_range_aborts_its_recipients(monkeypatch):
     assert_aborted_or_exact(run.transcript, inputs)
 
 
+def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
+    """A server that tells clients 1 and 2 that client 0 dropped, and tells
+    clients 0 and 3 the truth, would get sk1 of client 0 from the first pair
+    and sk2 from the second; a client refuses an sk1 request for a survivor
+    it signed."""
+    original = secagg._server_after_consistency
+
+    def patched(state, inbox):
+        (honest,) = original(state, inbox)[secagg.SERVER]
+        lying = dataclasses.replace(honest, dropped=(0,), survivors=(1, 2, 3))
+        return {0: [honest], 1: [lying], 2: [lying], 3: [honest]}
+
+    monkeypatch.setattr(secagg, "_server_after_consistency", patched)
+    inputs, k = random_inputs(4, 5, seed=5), 2
+    run = run_protocol(inputs, k=k, seed=5, params=TOY_GROUP)
+    for cid in (1, 2):
+        assert run.clients[cid].abort_reason == "server requested sk1 of client 0, a signed survivor"
+    assert_aborted_or_exact(run.transcript, inputs)
+    sk1_shares_of_0 = [m for m in run.server.unmask.values() if 0 in m.sk1_shares]
+    assert len(sk1_shares_of_0) < k
+
+
 def sweep_tampered_share_bundle(monkeypatch, k):
     """One 4-client round per byte of client 0's key-share bundle to client 2,
     with that byte XOR-ed with 0x01 in transit; returns (inputs, transcripts)."""
