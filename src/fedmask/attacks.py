@@ -238,10 +238,16 @@ class GanSchedule:
     def __post_init__(self):
         if self.epochs < 11:
             raise ParameterError("need more than 10 epochs to assess convergence")
-        if self.batch_size < 1:
-            raise ParameterError("batch size must be >= 1")
-        if self.d_clip <= 0:
-            raise ParameterError("discriminator clip must be > 0")
+        for name in ("batch_size", "steps_per_epoch"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
+        if self.pretrain_epochs < 0:
+            raise ParameterError("pretrain_epochs must be >= 0")
+        for name in ("eta_d", "eta_g", "pretrain_eta", "d_clip"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0")
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ParameterError("alpha must lie in [0, 1]")
 
 
 @dataclass

@@ -35,12 +35,14 @@ class FedConfig:
     client_min_alpha: float = 0.0
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ParameterError("n_clients must be >= 1")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ParameterError("alpha must lie in [0, 1]")
-        if self.eta <= 0:
-            raise ParameterError("eta must be > 0")
+        for name in ("n_clients", "t_global", "t_local"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
+        for name in ("alpha", "client_min_alpha"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1]")
+        if not 0 < self.eta < math.inf:
+            raise ParameterError("eta must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,15 @@ class DpConfig:
             raise ParameterError("clip threshold must be > 0")
         if self.noise_scale < 0:
             raise ParameterError("noise scale must be >= 0")
-        if self.group_size < 1:
-            raise ParameterError("group size must be >= 1")
-        if self.steps < 1:
-            raise ParameterError("steps must be >= 1")
+        for name in ("group_size", "steps"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
         if self.noise_scale > 0 and math.isinf(self.clip_threshold):
             raise ParameterError("noise requires a finite clip threshold")
+        if not 0.0 < self.delta_target < 1.0:
+            raise ParameterError("delta_target must lie in (0, 1)")
+        if not 0 < self.eta < math.inf:
+            raise ParameterError("eta must be finite and > 0")
 
 
 @dataclass
@@ -170,15 +175,10 @@ def _sample_group(n: int, cfg: DpConfig, rng: Rng, step: int) -> np.ndarray:
     return np.nonzero(draws < rate)[0]
 
 
-def _per_example_grads(model: TinyModel, inputs, labels, idx, loss: str) -> np.ndarray:
-    """One row per sampled example: the gradient of that example's own loss."""
-    return per_example_backward(model, inputs[idx], np.asarray(labels)[idx], loss)
-
-
 def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):
     """Clip per-example gradients, add Gaussian noise to the group sum, and
     descend; returns (flat weights, privacy ledger)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
     n = inputs.shape[0]
     rate = min(1.0, cfg.group_size / n)
     w = flatten(model)
@@ -190,7 +190,7 @@ def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):
             continue
         current = unflatten(model, w)
         total = np.zeros_like(w)
-        for g in _per_example_grads(current, inputs, labels, idx, cfg.loss):
+        for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
             norm = float(np.linalg.norm(g))
             if math.isfinite(cfg.clip_threshold):
                 g = g / max(1.0, norm / cfg.clip_threshold)
@@ -217,7 +217,7 @@ def sgd_loop(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng) -> np.nd
     dp_sgd with noise_scale=0 and an infinite clip threshold must reproduce
     this trajectory bit-exactly on the same seed.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
     n = inputs.shape[0]
     w = flatten(model)
     for t in range(cfg.steps):
@@ -226,7 +226,7 @@ def sgd_loop(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng) -> np.nd
             continue
         current = unflatten(model, w)
         total = np.zeros_like(w)
-        for g in _per_example_grads(current, inputs, labels, idx, cfg.loss):
+        for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
             total = total + g
         w = w - cfg.eta * (total / cfg.group_size)
     return w

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import adversary, aggregators, fedcore, secagg
 from .data import GLYPH_CLASSES, GLYPH_DIM, make_glyphs, partition
-from .models import TinyModel, accuracy, flatten, init_model, sgd_step, unflatten
+from .models import TinyModel, accuracy, count_params, flatten, init_model, sgd_step, unflatten
 from .models import Batch
 from .numeric import ParameterError, Rng, uniform_mask, vec_mean
 
@@ -303,8 +303,8 @@ def clt_check(n: int, alpha: float, dim: int = 100, n_seeds: int = 30, seed: int
 # ---------------------------------------------------------------------------
 
 GLYPH_MODEL_SIZES = (GLYPH_DIM, 32, GLYPH_CLASSES)
-# weights and biases of that model: the length of each vector fed_training aggregates
-GLYPH_PARAM_COUNT = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(GLYPH_MODEL_SIZES, GLYPH_MODEL_SIZES[1:]))
+# the length of each vector fed_training aggregates
+GLYPH_PARAM_COUNT = count_params(GLYPH_MODEL_SIZES)
 
 
 def glyph_eval_set(seed: int = 7):

@@ -1,13 +1,15 @@
 """Tiny manually-differentiated neural models and loss machinery.
 
-Models are immutable values: training steps return new models.  Everything is
-deliberately small (<= 10^4 parameters) so attacks that need gradients of
-gradient differences remain tractable with plain numpy.
+Models are immutable values: training steps return new models, and each
+model's one flat parameter vector is flagged read-only to enforce it.
+Everything is deliberately small (<= 10^4 parameters) so attacks that need
+gradients of gradient differences remain tractable with plain numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,23 +33,47 @@ _ACT_DERIV = {
 }
 
 
+def count_params(sizes) -> int:
+    """Weights and biases of a dense network with these layer sizes."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
+def _layers(sizes, flat: np.ndarray):
+    """Per-layer ``(w, b)`` views of flat parameters: each layer's
+    (fan_in, fan_out) weights row-major, then its biases.  Leading axes are
+    kept, so a (B, params) matrix splits into (B, fan_in, fan_out) and
+    (B, fan_out) views."""
+    lead = flat.shape[:-1]
+    views, pos = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        end = pos + fan_in * fan_out
+        views.append((flat[..., pos:end].reshape(lead + (fan_in, fan_out)), flat[..., end : end + fan_out]))
+        pos = end + fan_out
+    return views
+
+
 @dataclass(frozen=True)
 class TinyModel:
-    """Fully-connected network; the activation applies to every layer."""
+    """Fully-connected network; the activation applies to every layer.
+    ``params`` is the flat vector ``_layers`` splits, stored as a read-only copy."""
 
     sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]  # each (fan_in, fan_out)
-    biases: tuple[np.ndarray, ...]  # each (fan_out,)
+    params: np.ndarray
     activation: str = "sigmoid"
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ParameterError(f"unknown activation {self.activation!r}")
-        if len(self.weights) != len(self.sizes) - 1 or len(self.biases) != len(self.weights):
-            raise ParameterError("layer count mismatch")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.sizes[i], self.sizes[i + 1]) or b.shape != (self.sizes[i + 1],):
-                raise ParameterError(f"layer {i} shape mismatch")
+        params = np.array(as_vector(self.params))
+        if params.shape[0] != count_params(self.sizes):
+            raise ParameterError(f"expected {count_params(self.sizes)} parameters, got {params.shape[0]}")
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
+
+    @cached_property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Read-only (weights (fan_in, fan_out), biases (fan_out,)) views."""
+        return _layers(self.sizes, self.params)
 
     @property
     def input_dim(self) -> int:
@@ -59,7 +85,7 @@ class TinyModel:
 
     @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.shape[0]
 
 
 def init_model(sizes, activation: str = "sigmoid", rng: Rng | None = None) -> TinyModel:
@@ -68,35 +94,22 @@ def init_model(sizes, activation: str = "sigmoid", rng: Rng | None = None) -> Ti
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ParameterError("need at least input and output sizes, all positive")
     rng = rng if rng is not None else Rng(0)
-    ws, bs = [], []
-    for i in range(len(sizes) - 1):
-        bound = 1.0 / np.sqrt(sizes[i])
-        ws.append(rng.uniform(-bound, bound, sizes[i] * sizes[i + 1]).reshape(sizes[i], sizes[i + 1]))
-        bs.append(rng.uniform(-bound, bound, sizes[i + 1]))
-    return TinyModel(sizes=sizes, weights=tuple(ws), biases=tuple(bs), activation=activation)
+    parts = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        parts.append(rng.uniform(-bound, bound, fan_in * fan_out))
+        parts.append(rng.uniform(-bound, bound, fan_out))
+    return TinyModel(sizes=sizes, params=np.concatenate(parts), activation=activation)
 
 
 def flatten(model: TinyModel) -> np.ndarray:
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    """The model's read-only parameter vector (no copy)."""
+    return model.params
 
 
 def unflatten(model: TinyModel, flat: np.ndarray) -> TinyModel:
-    flat = as_vector(flat)
-    if flat.shape[0] != model.param_count:
-        raise ParameterError(f"expected {model.param_count} parameters, got {flat.shape[0]}")
-    ws, bs = [], []
-    pos = 0
-    for i in range(len(model.sizes) - 1):
-        nin, nout = model.sizes[i], model.sizes[i + 1]
-        ws.append(flat[pos : pos + nin * nout].reshape(nin, nout).copy())
-        pos += nin * nout
-        bs.append(flat[pos : pos + nout].copy())
-        pos += nout
-    return TinyModel(sizes=model.sizes, weights=tuple(ws), biases=tuple(bs), activation=model.activation)
+    """A model shaped like ``model`` holding a copy of ``flat``."""
+    return TinyModel(sizes=model.sizes, params=flat, activation=model.activation)
 
 
 @dataclass(frozen=True)
@@ -126,20 +139,11 @@ class Batch:
 
 def forward(model: TinyModel, x: np.ndarray) -> np.ndarray:
     """Final-layer activations for a single input vector."""
-    x = as_vector(x)
-    if x.shape[0] != model.input_dim:
-        raise ParameterError(f"input dim {x.shape[0]}, model expects {model.input_dim}")
-    return forward_batch(model, x[None, :])[0]
+    return forward_batch(model, as_vector(x)[None, :])[0]
 
 
 def forward_batch(model: TinyModel, X: np.ndarray) -> np.ndarray:
-    act = _ACT[model.activation]
-    a = np.asarray(X, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != model.input_dim:
-        raise ParameterError("inputs must be (B, din) matching the model")
-    for w, b in zip(model.weights, model.biases):
-        a = act(a @ w + b)
-    return a
+    return _forward_trace(model, X)[1][-1]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -149,14 +153,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_trace(model: TinyModel, X: np.ndarray):
+    """Pre-activations and activations (inputs first) of every layer."""
+    a = np.asarray(X, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != model.input_dim:
+        raise ParameterError("inputs must be (B, din) matching the model")
     act = _ACT[model.activation]
-    activations = [np.asarray(X, dtype=np.float64)]
-    pre = []
-    a = activations[0]
-    for w, b in zip(model.weights, model.biases):
-        z = a @ w + b
-        a = act(z)
-        pre.append(z)
+    pre, activations = [], [a]
+    for w, b in model.layers:
+        pre.append(a @ w + b)
+        a = act(pre[-1])
         activations.append(a)
     return pre, activations
 
@@ -182,27 +187,26 @@ def _loss_head(out: np.ndarray, labels, loss: str):
     raise ParameterError(f"unknown loss {loss!r}")
 
 
+def _deltas(model: TinyModel, pre, acts, dout: np.ndarray) -> list[np.ndarray]:
+    """Each layer's delta dL/dz, first layer first, backpropagated from the
+    output deltas ``dout``."""
+    deriv, layers = _ACT_DERIV[model.activation], model.layers
+    deltas = [dout * deriv(acts[-1], pre[-1])]
+    for layer in range(len(layers) - 1, 0, -1):
+        deltas.append((deltas[-1] @ layers[layer][0].T) * deriv(acts[layer], pre[layer - 1]))
+    return deltas[::-1]
+
+
 def _backward_full(model: TinyModel, batch: Batch, loss: str):
     """Loss, flat parameter gradient, and input gradient for a batch."""
-    if batch.inputs.shape[1] != model.input_dim:
-        raise ParameterError("batch input dim does not match model")
     pre, acts = _forward_trace(model, batch.inputs)
-    B = batch.size
     loss_sum, dout = _loss_head(acts[-1], batch.labels, loss)
-
-    deriv = _ACT_DERIV[model.activation]
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
-    delta = (dout / B) * deriv(acts[-1], pre[-1])
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = np.sum(delta, axis=0)
-        if layer > 0:
-            delta = (delta @ model.weights[layer].T) * deriv(acts[layer], pre[layer - 1])
-        else:
-            input_grad = delta @ model.weights[0].T
-    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(grad_w, grad_b)])
-    return loss_sum / B, flat, input_grad
+    deltas = _deltas(model, pre, acts, dout / batch.size)
+    grad = np.empty(model.param_count)
+    for a, delta, (grad_w, grad_b) in zip(acts, deltas, _layers(model.sizes, grad)):
+        np.matmul(a.T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
+    return loss_sum / batch.size, grad, deltas[0] @ model.layers[0][0].T
 
 
 def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.ndarray:
@@ -217,23 +221,12 @@ def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.nd
     ``backward`` bit for bit; for larger B the batched matmuls may round the
     backpropagated deltas differently in the last bits.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ParameterError("inputs must be (B, din) matching the model")
     pre, acts = _forward_trace(model, X)
     _, dout = _loss_head(acts[-1], Y, loss)
-    B = X.shape[0]
-    starts = np.cumsum([0] + [w.size + b.size for w, b in zip(model.weights, model.biases)])
-    grads = np.empty((B, model.param_count))
-    deriv = _ACT_DERIV[model.activation]
-    delta = dout * deriv(acts[-1], pre[-1])
-    for layer in range(len(model.weights) - 1, -1, -1):
-        nin, nout = model.weights[layer].shape
-        w_end = starts[layer] + nin * nout
-        np.multiply(acts[layer][:, :, None], delta[:, None, :], out=grads[:, starts[layer] : w_end].reshape(B, nin, nout))
-        grads[:, w_end : starts[layer + 1]] = delta
-        if layer > 0:
-            delta = (delta @ model.weights[layer].T) * deriv(acts[layer], pre[layer - 1])
+    grads = np.empty((acts[0].shape[0], model.param_count))
+    for a, delta, (grad_w, grad_b) in zip(acts, _deltas(model, pre, acts, dout), _layers(model.sizes, grads)):
+        np.multiply(a[:, :, None], delta[:, None, :], out=grad_w)
+        grad_b[...] = delta
     return grads
 
 

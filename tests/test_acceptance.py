@@ -30,7 +30,7 @@ from fedmask.attacks import (
 )
 from fedmask.crypto import TOY_GROUP, shamir_split
 from fedmask.data import make_gaussian_mixture, make_glyphs, make_token_corpus
-from fedmask.fedcore import DpConfig, _per_example_grads, _sample_group, dp_sgd, sgd_loop
+from fedmask.fedcore import DpConfig, _sample_group, dp_sgd, sgd_loop
 from fedmask.harness import (
     alpha_sweep,
     attack_battery,
@@ -40,7 +40,7 @@ from fedmask.harness import (
     scenario_from_dict,
     secagg_report,
 )
-from fedmask.models import Batch, backward, flatten, init_model, train_bigram, unflatten
+from fedmask.models import Batch, backward, flatten, init_model, per_example_backward, train_bigram, unflatten
 from fedmask.numeric import Rng, encode_fixed, field_sum, uniform_mask, vec_mean
 from fedmask.secagg import run_protocol
 
@@ -386,7 +386,7 @@ def test_criterion_11_private_sgd_contracts():
             continue
         current = unflatten(model, w)
         total = np.zeros_like(w)
-        for g in _per_example_grads(current, inputs, labels, idx, cfg.loss):
+        for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
             norm = float(np.linalg.norm(g))
             g = g / max(1.0, norm / cfg.clip_threshold)
             assert np.linalg.norm(g) <= gamma * (1 + 1e-12)

@@ -2,6 +2,7 @@
 inversion, the adversarial-pair training loop, and the log-perplexity probe."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_fd_gradient_matches_analytic_on_linear_model():
     rng = Rng(1).child("lin")
     W = rng.uniform(-1, 1, din * dout).reshape(din, dout)
     b = rng.uniform(-1, 1, dout)
-    model = TinyModel(sizes=(din, dout), weights=(W,), biases=(b,), activation="identity")
+    model = TinyModel(sizes=(din, dout), params=np.concatenate([W.ravel(), b]), activation="identity")
     G = rng.uniform(-1, 1, din * dout).reshape(din, dout)  # target weight grad
     h_t = rng.uniform(-1, 1, dout)  # target bias grad
     known = np.concatenate([G.ravel(), h_t])
@@ -170,8 +171,7 @@ def test_mia_linear_softmax_recovers_weight_direction():
     W = W - W.mean(axis=1, keepdims=True)
     model = TinyModel(
         sizes=(din, classes),
-        weights=(W,),
-        biases=(np.zeros(classes),),
+        params=np.concatenate([W.ravel(), np.zeros(classes)]),
         activation="identity",
     )
     for label in range(classes):
@@ -216,6 +216,18 @@ def test_gan_schedule_validation():
         GanSchedule(batch_size=0)
     with pytest.raises(ParameterError):
         GanSchedule(d_clip=0.0)
+    for bad in (
+        {"eta_d": -1.0},
+        {"eta_g": math.nan},
+        {"pretrain_eta": math.inf},
+        {"d_clip": math.inf},
+        {"steps_per_epoch": 0},
+        {"pretrain_epochs": -1},
+        {"alpha": 2.0},
+        {"alpha": -0.1},
+    ):
+        with pytest.raises(ParameterError):
+            GanSchedule(**bad)
 
 
 @pytest.mark.parametrize("mode", GAN_MODES)

@@ -10,7 +10,6 @@ from fedmask.fedcore import (
     DpConfig,
     FedConfig,
     PrivacyLedger,
-    _per_example_grads,
     _sample_group,
     client_update,
     compose_privacy,
@@ -20,7 +19,7 @@ from fedmask.fedcore import (
     run_fedavg,
     sgd_loop,
 )
-from fedmask.models import Batch, accuracy, backward, flatten, init_model, unflatten
+from fedmask.models import Batch, accuracy, backward, flatten, init_model, per_example_backward, unflatten
 from fedmask.numeric import ParameterError, Rng, vec_mean
 
 
@@ -43,6 +42,16 @@ def test_fed_config_validation():
         FedConfig(n_clients=2, alpha=1.5)
     with pytest.raises(ParameterError):
         FedConfig(n_clients=2, eta=0.0)
+    for bad in (
+        {"eta": math.nan},
+        {"eta": math.inf},
+        {"t_global": 0},
+        {"t_local": 0},
+        {"client_min_alpha": -1.0},
+        {"client_min_alpha": 1.5},
+    ):
+        with pytest.raises(ParameterError):
+            FedConfig(n_clients=2, **bad)
 
 
 def test_dp_config_validation():
@@ -57,6 +66,9 @@ def test_dp_config_validation():
     with pytest.raises(ParameterError):
         # noise without a finite clip has unbounded sensitivity
         DpConfig(noise_scale=1.0, clip_threshold=math.inf, group_size=1, steps=1)
+    for bad in ({"eta": -1.0}, {"eta": math.nan}, {"eta": math.inf}, {"delta_target": 0.0}, {"delta_target": 2.0}):
+        with pytest.raises(ParameterError):
+            DpConfig(noise_scale=0.0, clip_threshold=1.0, group_size=1, steps=1, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +203,7 @@ def test_dp_sgd_post_clip_norms_bounded():
         idx = _sample_group(inputs.shape[0], cfg, rng, t)
         current = unflatten(model, w)
         total = np.zeros_like(w)
-        for g in _per_example_grads(current, inputs, labels, idx, cfg.loss):
+        for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
             clipped = g / max(1.0, float(np.linalg.norm(g)) / gamma)
             assert np.linalg.norm(clipped) <= gamma + 1e-12
             total += clipped

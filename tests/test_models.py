@@ -82,7 +82,7 @@ def straight_line_forward(model, x):
         "identity": lambda z: z,
     }
     a = np.asarray(x, dtype=float)
-    for w, b in zip(model.weights, model.biases):
+    for w, b in model.layers:
         a = acts[model.activation](a @ w + b)
     return a
 
@@ -119,9 +119,8 @@ def test_forward_dim_validation():
 def test_flatten_unflatten_bijection():
     model = init_model((5, 7, 4, 2), "relu", Rng(5))
     again = unflatten(model, flatten(model))
-    for w1, w2 in zip(model.weights, again.weights):
+    for (w1, b1), (w2, b2) in zip(model.layers, again.layers):
         assert np.array_equal(w1, w2)
-    for b1, b2 in zip(model.biases, again.biases):
         assert np.array_equal(b1, b2)
     assert model.param_count == flatten(model).shape[0]
     assert model.param_count == sum(
@@ -131,8 +130,23 @@ def test_flatten_unflatten_bijection():
 
 def test_unflatten_wrong_length():
     model = init_model((2, 2), "tanh", Rng(0))
-    with pytest.raises(ParameterError):
-        unflatten(model, np.zeros(model.param_count + 1))
+    for bad in (np.zeros(model.param_count + 1), np.full(model.param_count, np.nan)):
+        with pytest.raises(ParameterError):
+            unflatten(model, bad)
+        with pytest.raises(ParameterError):
+            TinyModel(sizes=model.sizes, params=bad, activation=model.activation)
+
+
+def test_params_read_only_and_copied_from_caller():
+    model = init_model((3, 2), "tanh", Rng(0))
+    with pytest.raises(ValueError):
+        model.params[0] = 1.0
+    for w, b in model.layers:
+        assert not w.flags.writeable and not b.flags.writeable
+    source = np.arange(model.param_count, dtype=np.float64)
+    copy = unflatten(model, source)
+    source[:] = -1.0
+    assert np.array_equal(flatten(copy), np.arange(model.param_count, dtype=np.float64))
 
 
 @given(st.integers(0, 10_000))
@@ -289,16 +303,15 @@ def test_xor_convergence():
 
 def test_single_linear_neuron_converges_to_slope_two():
     # closed-form least-squares solution of y = 2x is weight 2, bias 0
-    model = TinyModel(
-        sizes=(1, 1), weights=(np.array([[0.0]]),), biases=(np.array([0.0]),), activation="identity"
-    )
+    model = TinyModel(sizes=(1, 1), params=np.zeros(2), activation="identity")
     x = np.linspace(-1, 1, 21)[:, None]
     y = 2.0 * x
     batch = Batch(inputs=x, labels=y)
     for _ in range(2000):
         model = sgd_step(model, batch, 0.5, "mse")
-    assert abs(model.weights[0][0, 0] - 2.0) < 1e-3
-    assert abs(model.biases[0][0]) < 1e-3
+    [(w, b)] = model.layers
+    assert abs(w[0, 0] - 2.0) < 1e-3
+    assert abs(b[0]) < 1e-3
 
 
 # ---------------------------------------------------------------------------
