@@ -9,7 +9,6 @@ Successful attacks recover honest clients' encoded weight vectors bit-exactly
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,14 +27,10 @@ from .numeric import (
     Rng,
     as_vector,
     clip_for_encoding,
-    decode_fixed,
     encode_fixed,
     field_sub,
 )
 from .secagg import ProtocolRun, client_mask, run_protocol
-
-STRATEGIES = ("honest_but_curious", "sybil_mitm", "share_compromise", "strategic_drop")
-
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
@@ -67,25 +62,11 @@ class AttackScenario:
 class AttackReport:
     strategy: AdversaryStrategy
     success: bool
-    recovered: dict = field(default_factory=dict)  # honest id -> ParamVector
     recovered_field: dict = field(default_factory=dict)  # honest id -> FieldVector
     max_field_error: int | None = None  # max |recovered - truth| over field ints
     rounds_consumed: int = 0
     reason: str | None = None
     attempts: list = field(default_factory=list)  # per-attempt log entries
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "strategy": self.strategy.kind,
-                "success": self.success,
-                "recovered": {str(i): [float(x) for x in v] for i, v in self.recovered.items()},
-                "max_field_error": None if self.max_field_error is None else str(self.max_field_error),
-                "rounds_consumed": self.rounds_consumed,
-                "reason": self.reason,
-                "attempts": self.attempts,
-            }
-        )
 
 
 def _truth_field(scenario: AttackScenario, cid: int) -> FieldVector:
@@ -136,16 +117,13 @@ def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackRep
         # encode(w_0) = c_0 - client_mask_0, as the server unmasks a survivor
         rec = field_sub(run.server.masked[0], client_mask(0, sk2, pair_secrets, run.server.dim))
         report.recovered_field[cell] = rec
-        report.recovered[cell] = decode_fixed(rec)
         max_err = max(max_err, _field_error(rec, _truth_field(scenario, cell)))
     report.max_field_error = max_err
     report.success = max_err == 0
     return report
 
 
-def run_share_compromise(
-    scenario: AttackScenario, strategy: AdversaryStrategy, run: ProtocolRun | None = None
-) -> AttackReport:
+def run_share_compromise(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackReport:
     """Controlled clients pool the key shares they received; with at least k
     of them the server reconstructs every honest client's keys and unmasks."""
     report = AttackReport(strategy=strategy, success=False)
@@ -153,8 +131,7 @@ def run_share_compromise(
     n = len(scenario.inputs)
     if any(not (0 <= c < n) for c in controlled):
         raise ParameterError("controlled id out of range")
-    if run is None:
-        run = run_protocol(list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params)
+    run = run_protocol(list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params)
     report.rounds_consumed = 1
     if run.transcript.aborted:
         report.reason = f"protocol aborted: {run.transcript.abort_reason}"
@@ -178,7 +155,6 @@ def run_share_compromise(
         }
         rec = field_sub(run.server.masked[cid], client_mask(cid, sk2, pair_secrets, run.server.dim))
         report.recovered_field[cid] = rec
-        report.recovered[cid] = decode_fixed(rec)
         max_err = max(max_err, _field_error(rec, _truth_field(scenario, cid)))
     report.max_field_error = max_err
     report.success = bool(honest) and max_err == 0
@@ -227,7 +203,6 @@ def run_strategic_drop(scenario: AttackScenario, strategy: AdversaryStrategy) ->
             report.attempts.append(entry)
             if inner.success:
                 back = {orig: pos for pos, orig in remap.items()}
-                report.recovered = {back[i]: v for i, v in inner.recovered.items()}
                 report.recovered_field = {back[i]: v for i, v in inner.recovered_field.items()}
                 report.max_field_error = inner.max_field_error
                 report.success = True
@@ -241,16 +216,22 @@ def run_strategic_drop(scenario: AttackScenario, strategy: AdversaryStrategy) ->
     return report
 
 
-def run_attack(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackReport:
-    if strategy.kind == "sybil_mitm":
-        return run_mitm(scenario, strategy)
-    if strategy.kind == "share_compromise":
-        return run_share_compromise(scenario, strategy)
-    if strategy.kind == "strategic_drop":
-        return run_strategic_drop(scenario, strategy)
-    # honest-but-curious: observe the protocol, recover nothing
+def run_honest_but_curious(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackReport:
+    """Observe one honest round and recover nothing."""
     run_protocol(list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params)
     return AttackReport(strategy=strategy, success=False, rounds_consumed=1, reason="passive observation only")
+
+
+STRATEGIES = {
+    "honest_but_curious": run_honest_but_curious,
+    "sybil_mitm": run_mitm,
+    "share_compromise": run_share_compromise,
+    "strategic_drop": run_strategic_drop,
+}
+
+
+def run_attack(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackReport:
+    return STRATEGIES[strategy.kind](scenario, strategy)
 
 
 # ---------------------------------------------------------------------------

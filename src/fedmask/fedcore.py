@@ -28,11 +28,8 @@ class FedConfig:
     loss: str = "cross_entropy"
     aggregator: str = "mean"
     aggregator_params: dict = field(default_factory=dict)
-    weighted: bool = False  # weight client updates by dataset size
-    # server-announced client count needed per aggregation; clients refuse to
-    # mask below their configured minimum alpha for that threshold
-    client_threshold: int | None = None
-    client_min_alpha: float = 0.0
+    weighted: bool = False  # weight client updates by dataset size (mean only)
+    client_min_alpha: float = 0.0  # clients refuse to mask below this alpha
 
     def __post_init__(self):
         for name in ("n_clients", "t_global", "t_local"):
@@ -43,6 +40,10 @@ class FedConfig:
                 raise ParameterError(f"{name} must lie in [0, 1]")
         if not 0 < self.eta < math.inf:
             raise ParameterError("eta must be finite and > 0")
+        if self.aggregator not in aggregators.AGGREGATORS:
+            raise ParameterError(f"unknown aggregator {self.aggregator!r}")
+        if self.weighted and self.aggregator != "mean":
+            raise ParameterError(f"weighted aggregation needs the mean, not {self.aggregator!r}")
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,8 @@ def run_fedavg(model: TinyModel, partitions, cfg: FedConfig, rng: Rng) -> TinyMo
     """
     if len(partitions) != cfg.n_clients:
         raise ParameterError("one data partition per client required")
-    if cfg.client_threshold is not None and cfg.alpha < cfg.client_min_alpha:
-        raise ParameterError(
-            f"clients refuse: alpha {cfg.alpha} below the configured minimum "
-            f"{cfg.client_min_alpha} for threshold {cfg.client_threshold}"
-        )
+    if cfg.alpha < cfg.client_min_alpha:
+        raise ParameterError(f"clients refuse: alpha {cfg.alpha} below the configured minimum {cfg.client_min_alpha}")
     current = model
     for t in range(cfg.t_global):
         updates = []
@@ -154,7 +152,7 @@ def run_fedavg(model: TinyModel, partitions, cfg: FedConfig, rng: Rng) -> TinyMo
                 w = client_update(current, x, y, cfg.t_local, cfg.eta, cfg.loss)
             updates.append(w)
             sizes.append(x.shape[0])
-        if cfg.weighted and cfg.aggregator == "mean":
+        if cfg.weighted:
             weights = np.asarray(sizes, dtype=np.float64)
             agg = np.sum([u * (s / weights.sum()) for u, s in zip(updates, weights)], axis=0)
         else:

@@ -155,7 +155,7 @@ class ScenarioConfig:
                 name = "aggregator_params" if self.aggregator_params else "aggregator"
                 raise ConfigError(f"{name}: {exc}") from exc
         for cid, rnd in self.dropout_after.items():
-            if not (_is_int(cid) and _is_int(rnd) and 0 <= cid < self.n and 0 <= rnd <= 4):
+            if not (_is_int(cid) and _is_int(rnd) and 0 <= cid < self.n and 0 <= rnd < secagg.ROUNDS):
                 raise ConfigError(f"dropout_after: bad entry {cid!r}: {rnd!r}")
 
 
@@ -414,7 +414,7 @@ def attack_battery(cfg: ScenarioConfig) -> ExperimentReport:
     for s in cfg.seeds:
         scenario = adversary.AttackScenario(inputs=tuple(_scenario_inputs(cfg, s)), k=cfg.k, seed=s)
         report = adversary.run_attack(scenario, strategy)
-        rows.append((cfg.strategy, s, report.success, len(report.recovered), report.rounds_consumed))
+        rows.append((cfg.strategy, s, report.success, len(report.recovered_field), report.rounds_consumed))
         successes += int(report.success)
     return ExperimentReport(
         config=scenario_to_dict(cfg),

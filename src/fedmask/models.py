@@ -52,7 +52,7 @@ def _layers(sizes, flat: np.ndarray):
     return views
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TinyModel:
     """Fully-connected network; the activation applies to every layer.
     ``params`` is the flat vector ``_layers`` splits, stored as a read-only copy."""
@@ -69,6 +69,13 @@ class TinyModel:
             raise ParameterError(f"expected {count_params(self.sizes)} parameters, got {params.shape[0]}")
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TinyModel)
+            and (self.sizes, self.activation) == (other.sizes, other.activation)
+            and np.array_equal(self.params, other.params)
+        )
 
     @cached_property
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:

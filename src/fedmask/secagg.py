@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -59,15 +58,7 @@ TRANSCRIPT_SCHEMA_VERSION = 1
 
 SERVER = "server"
 
-
-class Phase(Enum):
-    ADVERTISE = 0
-    SHARE_KEYS = 1
-    MASKED_INPUT = 2
-    CONSISTENCY = 3
-    UNMASK = 4
-    DONE = 5
-    ABORTED = 6
+ROUNDS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +156,7 @@ class ClientState:
     k: int
     params: DhParams
     rng: Rng
-    phase: Phase = Phase.ADVERTISE
+    round: int = 0
     kp1: KeyPair | None = None
     kp2: KeyPair | None = None
     roster: dict = field(default_factory=dict)  # id -> (pk1, pk2)
@@ -175,10 +166,6 @@ class ClientState:
     held_shares: dict = field(default_factory=dict)  # owner id -> (sk1 share, sk2 share)
     consistency_list: tuple = ()
     abort_reason: str | None = None
-
-    def abort(self, reason: str):
-        self.phase = Phase.ABORTED
-        self.abort_reason = reason
 
 
 def _bundle_key(state: ClientState, peer: int) -> int:
@@ -223,24 +210,27 @@ def masked_input_vector(state: ClientState) -> FieldVector:
 
 
 def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
-    """Advance one protocol round; returns the state and outgoing messages."""
-    if state.phase in (Phase.DONE, Phase.ABORTED):
+    """Advance one protocol round; returns the state and outgoing messages.
+    A client that aborted or finished every round sends nothing."""
+    if state.abort_reason is not None or state.round == ROUNDS:
         return state, []
-    handler = {
-        Phase.ADVERTISE: _client_advertise,
-        Phase.SHARE_KEYS: _client_share_keys,
-        Phase.MASKED_INPUT: _client_masked_input,
-        Phase.CONSISTENCY: _client_consistency,
-        Phase.UNMASK: _client_unmask,
-    }[state.phase]
-    return handler(state, inbox)
+    handler = [
+        _client_advertise,
+        _client_share_keys,
+        _client_masked_input,
+        _client_consistency,
+        _client_unmask,
+    ][state.round]
+    state, out = handler(state, inbox)
+    state.round += 1
+    return state, out
 
 
 def _one(state: ClientState, inbox, kind):
     """The one message of type kind in inbox, or None after aborting the client."""
     msgs = [m for m in inbox if isinstance(m, kind)]
     if len(msgs) != 1:
-        state.abort(f"expected one {kind.__name__}, got {len(msgs)}")
+        state.abort_reason = f"expected one {kind.__name__}, got {len(msgs)}"
         return None
     return msgs[0]
 
@@ -249,7 +239,6 @@ def _client_advertise(state: ClientState, inbox) -> tuple[ClientState, list]:
     state.kp1 = generate_keypair(state.params, state.rng.child("kp1"))
     state.kp2 = generate_keypair(state.params, state.rng.child("kp2"))
     sig = sign(advert_signing_bytes(state.cid, state.kp1.pk, state.kp2.pk), state.kp1.sk, state.params)
-    state.phase = Phase.SHARE_KEYS
     return state, [KeyAdvert(sender=state.cid, pk1=state.kp1.pk, pk2=state.kp2.pk, sig=sig)]
 
 
@@ -261,18 +250,18 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
         if cid == state.cid:
             continue
         if not verify(advert_signing_bytes(cid, pk1, pk2), sig, pk1, state.params):
-            state.abort(f"bad keypair signature from client {cid}")
+            state.abort_reason = f"bad keypair signature from client {cid}"
             return state, []
         state.roster[cid] = (pk1, pk2)
         try:
             state.pair_secrets[cid] = dh_shared_secret(state.kp1, pk1, state.params)
             state.enc_secrets[cid] = dh_shared_secret(state.kp2, pk2, state.params)
         except ProtocolError:
-            state.abort(f"bad public key from client {cid}")
+            state.abort_reason = f"bad public key from client {cid}"
             return state, []
     ids = sorted([e[0] for e in msg.roster])
     if len(ids) < state.k:
-        state.abort("below threshold at key sharing")
+        state.abort_reason = "below threshold at key sharing"
         return state, []
     n = len(ids)
     sk1_shares = shamir_split(state.kp1.sk, state.k, n, state.rng.child("shamir-sk1"))
@@ -285,7 +274,6 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
             continue
         payload = json.dumps({"owner": state.cid, "sk1": _encode_share(sk1), "sk2": _encode_share(sk2)}).encode()
         bundles[peer] = stream_xor(_bundle_key(state, peer), payload)
-    state.phase = Phase.MASKED_INPUT
     return state, [KeyShares(sender=state.cid, bundles=bundles)]
 
 
@@ -297,20 +285,19 @@ def _client_masked_input(state: ClientState, inbox) -> tuple[ClientState, list]:
     named = [j for j in state.participants if j != state.cid] + [owner for owner, _ in msg.bundles]
     unknown = [j for j in named if j not in state.roster]
     if unknown:
-        state.abort(f"share delivery names client {unknown[0]!r}, not in the roster")
+        state.abort_reason = f"share delivery names client {unknown[0]!r}, not in the roster"
         return state, []
     for owner, blob in msg.bundles:
         try:
             info = json.loads(stream_xor(_bundle_key(state, owner), blob))
             state.held_shares[owner] = (_decode_share(info["sk1"]), _decode_share(info["sk2"]))
         except (ValueError, KeyError, TypeError):
-            state.abort(f"malformed key-share bundle from client {owner}")
+            state.abort_reason = f"malformed key-share bundle from client {owner}"
             return state, []
     if len(state.participants) < state.k:
-        state.abort("below threshold at masked input")
+        state.abort_reason = "below threshold at masked input"
         return state, []
     c = masked_input_vector(state)
-    state.phase = Phase.CONSISTENCY
     return state, [MaskedInput(sender=state.cid, masked=c)]
 
 
@@ -320,11 +307,10 @@ def _client_consistency(state: ClientState, inbox) -> tuple[ClientState, list]:
         return state, []
     survivors = tuple(sorted(msg.survivors))
     if len(survivors) < state.k:
-        state.abort("below threshold at consistency check")
+        state.abort_reason = "below threshold at consistency check"
         return state, []
     state.consistency_list = survivors
     sig = sign(roster_signing_bytes(survivors), state.kp1.sk, state.params)
-    state.phase = Phase.UNMASK
     return state, [ConsistencySig(sender=state.cid, participants=survivors, sig=sig)]
 
 
@@ -333,13 +319,13 @@ def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
     if msg is None:
         return state, []
     if set(msg.dropped) & set(msg.survivors):
-        state.abort("server requested both masks for one client")
+        state.abort_reason = "server requested both masks for one client"
         return state, []
     # a client this one signed as a survivor keeps its sk1 hidden, whatever
     # the server tells the other clients
     signed = [j for j in msg.dropped if j in state.consistency_list]
     if signed:
-        state.abort(f"server requested sk1 of client {signed[0]}, a signed survivor")
+        state.abort_reason = f"server requested sk1 of client {signed[0]}, a signed survivor"
         return state, []
     expected = roster_signing_bytes(state.consistency_list)
     for cid, sig in msg.sigs:
@@ -347,12 +333,11 @@ def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
             continue
         pk1 = state.roster.get(cid, (None, None))[0]
         if pk1 is None or not verify(expected, sig, pk1, state.params):
-            state.abort(f"bad consistency signature from client {cid}")
+            state.abort_reason = f"bad consistency signature from client {cid}"
             return state, []
     held = state.held_shares
     sk1_shares = {j: held[j][0] for j in msg.dropped if j in held and j != state.cid}
     sk2_shares = {i: held[i][1] for i in msg.survivors if i in held}
-    state.phase = Phase.DONE
     return state, [UnmaskShares(sender=state.cid, sk1_shares=sk1_shares, sk2_shares=sk2_shares)]
 
 
@@ -372,7 +357,6 @@ class ServerState:
     masked: dict = field(default_factory=dict)  # id -> FieldVector
     consistency: dict = field(default_factory=dict)  # id -> ConsistencySig
     unmask: dict = field(default_factory=dict)  # id -> UnmaskShares
-    aborted: bool = False
     abort_reason: str | None = None
     aggregate_field: FieldVector | None = None
 
@@ -418,7 +402,6 @@ def _server_after_shares(state: ServerState, inbox) -> dict:
     for m in inbox:
         state.share_msgs[m.sender] = m
     if len(state.u2) < state.k:
-        state.aborted = True
         state.abort_reason = "below threshold: too few clients completed key sharing"
         return {}
     out = {}
@@ -442,7 +425,6 @@ def _server_after_consistency(state: ServerState, inbox) -> dict:
     for m in inbox:
         state.consistency[m.sender] = m
     if len(state.consistency) < state.k:
-        state.aborted = True
         state.abort_reason = "below threshold: too few consistency signatures"
         return {}
     sigs = tuple((cid, state.consistency[cid].sig) for cid in sorted(state.consistency))
@@ -455,13 +437,11 @@ def _server_after_unmask(state: ServerState, inbox) -> dict:
         if m.sender in state.u3:
             state.unmask[m.sender] = m
     if len(state.unmask) < state.k:
-        state.aborted = True
         state.abort_reason = "below threshold: too few unmask responses"
         return {}
     try:
         state.aggregate_field = _server_unmask_aggregate(state)
     except ProtocolError as e:
-        state.aborted = True
         state.abort_reason = str(e)
     return {}
 
@@ -569,8 +549,8 @@ def run_protocol(
 ) -> ProtocolRun:
     """Execute one full protocol round over the given client input vectors.
 
-    dropout_after maps client id -> last protocol round (0-4) in which that
-    client still responds.
+    dropout_after maps client id -> last protocol round (-1 to ROUNDS - 1) in
+    which that client still responds; -1 means it never advertises.
     """
     inputs = [as_vector(v) for v in inputs]
     n = len(inputs)
@@ -582,6 +562,11 @@ def run_protocol(
     if any(v.shape[0] != dim for v in inputs):
         raise ParameterError("client inputs must share a dimension")
     dropout_after = dict(dropout_after or {})
+    for cid, rnd in dropout_after.items():
+        if not (isinstance(cid, int) and cid in range(n) and isinstance(rnd, int) and rnd in range(-1, ROUNDS)):
+            raise ParameterError(
+                f"dropout_after: bad entry {cid!r}: {rnd!r}; need a client id in 0..{n - 1} and a round in -1..{ROUNDS - 1}"
+            )
 
     root = Rng(seed)
     clients = {
@@ -593,43 +578,34 @@ def run_protocol(
     log: list[dict] = []
     pending: dict[int, list] = {cid: [] for cid in clients}
 
-    for round_no in range(5):
+    for round_no in range(ROUNDS):
         round_msgs = []
-        for cid in sorted(clients):
-            state = clients[cid]
-            if dropout_after.get(cid, 4) < round_no:
-                continue
-            if state.phase in (Phase.DONE, Phase.ABORTED):
+        for cid, state in clients.items():
+            if dropout_after.get(cid, ROUNDS - 1) < round_no:
                 continue
             state, outbox = client_step(state, pending[cid])
             pending[cid] = []
-            for m in outbox:
-                log.append(serialize_message(m))
-                round_msgs.append(m)
+            log.extend(serialize_message(m) for m in outbox)
+            round_msgs.extend(outbox)
         server, outboxes = server_step(server, round_msgs)
-        if server.aborted:
+        if server.abort_reason is not None:
             break
-        broadcast = outboxes.get(SERVER, [])
-        for m in broadcast:
-            log.append(serialize_message(m))
-            for cid in clients:
-                pending[cid].append(m)
-        for cid, msgs in outboxes.items():
-            if cid == SERVER:
-                continue
+        # the SERVER key addresses every client
+        for to, msgs in outboxes.items():
             for m in msgs:
                 log.append(serialize_message(m))
-                pending[cid].append(m)
+                for cid in clients if to == SERVER else (to,):
+                    pending[cid].append(m)
 
+    aborted = server.abort_reason is not None
     aggregate_field = server.aggregate_field
-    aggregate = decode_fixed(aggregate_field) if aggregate_field is not None else None
     transcript = RoundTranscript(
         messages=log,
         dropouts=dropout_after,
-        included=server.u3 if not server.aborted else (),
+        included=() if aborted else server.u3,
         aggregate_field=aggregate_field,
-        aggregate=aggregate,
-        aborted=server.aborted,
+        aggregate=None if aggregate_field is None else decode_fixed(aggregate_field),
+        aborted=aborted,
         abort_reason=server.abort_reason,
     )
     return ProtocolRun(transcript=transcript, clients=clients, server=server)

@@ -145,7 +145,7 @@ def test_honest_but_curious_recovers_nothing():
     scenario = toy_scenario(3, 4, k=2, seed=7)
     report = run_attack(scenario, AdversaryStrategy(kind="honest_but_curious"))
     assert not report.success
-    assert report.recovered == {}
+    assert report.recovered_field == {}
 
 
 def test_strategy_validation():

@@ -49,6 +49,8 @@ def test_fed_config_validation():
         {"t_local": 0},
         {"client_min_alpha": -1.0},
         {"client_min_alpha": 1.5},
+        {"aggregator": "bogus"},
+        {"weighted": True, "aggregator": "krum"},
     ):
         with pytest.raises(ParameterError):
             FedConfig(n_clients=2, **bad)
@@ -154,7 +156,7 @@ def test_run_fedavg_masked_deviation_shrinks_with_n():
 def test_run_fedavg_client_refusal():
     model, inputs, labels = glyph_setup(seed=6)
     parts = partition(inputs, labels, 2, Rng(6).child("part"))
-    cfg = FedConfig(n_clients=2, alpha=0.05, client_threshold=10, client_min_alpha=0.1)
+    cfg = FedConfig(n_clients=2, alpha=0.05, client_min_alpha=0.1)
     with pytest.raises(ParameterError, match="refuse"):
         run_fedavg(model, parts, cfg, Rng(6).child("fed"))
 

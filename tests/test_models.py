@@ -149,6 +149,16 @@ def test_params_read_only_and_copied_from_caller():
     assert np.array_equal(flatten(copy), np.arange(model.param_count, dtype=np.float64))
 
 
+def test_models_compare_as_values():
+    model = init_model((2, 2), "tanh", Rng(0))
+    assert model == init_model((2, 2), "tanh", Rng(0))
+    assert unflatten(model, flatten(model)) == model
+    changed = flatten(model).copy()
+    changed[3] += 1.0
+    assert unflatten(model, changed) != model
+    assert model != flatten(model) and model != "model"
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_property_unflatten_flatten_round_trip(seed):

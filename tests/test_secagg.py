@@ -19,7 +19,6 @@ from fedmask.numeric import (
     field_sum,
 )
 from fedmask.secagg import (
-    Phase,
     TRANSCRIPT_SCHEMA_VERSION,
     client_mask,
     masked_input_vector,
@@ -354,7 +353,7 @@ def test_masked_input_hides_the_plain_encoding():
 def test_client_phases_terminal():
     run = run_protocol(random_inputs(3, 4, seed=12), k=2, seed=12, params=TOY_GROUP)
     for state in run.clients.values():
-        assert state.phase is Phase.DONE
+        assert state.round == secagg.ROUNDS and state.abort_reason is None
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +394,38 @@ def test_transcript_message_round_tags_monotone_per_sender():
         last_round[sender] = rnd
 
 
+@pytest.mark.parametrize(
+    "n, dropout",
+    [(5, {}), (6, {0: 1, 1: 1}), (6, {0: 2}), (6, {0: 0}), (6, {1: 2, 4: 3})],
+)
+def test_message_counts_match_closed_forms(n, dropout):
+    """Per-type message counts of an unaborted round, from the dropout schedule
+    alone: U1 advertises, U2 sends key shares, U3 sends masked input."""
+    t = run_protocol(random_inputs(n, 3, seed=22), k=3, seed=22, dropout_after=dropout, params=TOY_GROUP).transcript
+    assert not t.aborted
+
+    def responding(rnd):
+        return [c for c in range(n) if dropout.get(c, secagg.ROUNDS - 1) >= rnd]
+
+    u1, u2, u3 = responding(0), responding(1), responding(2)
+    by_type = {}
+    for m in t.messages:
+        by_type.setdefault(m["type"], []).append(m)
+    assert {kind: len(msgs) for kind, msgs in by_type.items()} == {
+        "KeyAdvert": len(u1),
+        "RosterBroadcast": 1,
+        "KeyShares": len(u2),
+        "ShareDelivery": len(u2),
+        "MaskedInput": len(u3),
+        "SurvivorBroadcast": 1,
+        "ConsistencySig": len(responding(3)),
+        "UnmaskRequest": 1,
+        "UnmaskShares": len(responding(4)),
+    }
+    assert all(len(m["bundles"]) == len(u1) - 1 for m in by_type["KeyShares"])
+    assert all(len(m["bundles"]) == len(u2) - 1 for m in by_type["ShareDelivery"])
+
+
 def test_decoded_aggregate_matches_field_decode():
     inputs = random_inputs(3, 4, seed=16)
     t = run_protocol(inputs, k=2, seed=16, params=TOY_GROUP).transcript
@@ -415,3 +446,8 @@ def test_run_protocol_validation():
         run_protocol([[1.0], [2.0]], k=0).transcript
     with pytest.raises(ParameterError):
         run_protocol([[1.0, 2.0], [3.0]], k=2).transcript
+    # a client id that names no client, a round that does not exist, and the
+    # string key a JSON config produces
+    for dropout in ({7: 1}, {0: 9}, {"0": 1}):
+        with pytest.raises(ParameterError, match="dropout_after"):
+            run_protocol([[1.0], [2.0], [3.0]], k=2, dropout_after=dropout, params=TOY_GROUP)
