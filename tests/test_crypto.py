@@ -351,6 +351,17 @@ def test_transcript_known_answer_dropouts_in_three_rounds():
     assert _digest(t.to_jsonl().encode()) == "d543d2719dec7788"
 
 
+def test_transcript_known_answer_rfc3526():
+    # the 2048-bit group: pins every DH secret through the masks and the
+    # encrypted share bundles; client 0 drops after key sharing, so the
+    # server derives the survivors' pair secrets with it too
+    inputs = [Rng(3).child(i).uniform(-1, 1, 6) for i in range(5)]
+    t = secagg.run_protocol(inputs, 3, seed=13, dropout_after={0: 1}, params=RFC3526_2048).transcript
+    assert t.included == (1, 2, 3, 4)
+    assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
+    assert _digest(t.to_jsonl().encode()) == "3e34d986507493da"
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**70), dim=st.integers(1, 70))
 def test_property_prg_matches_reference(seed, dim):
