@@ -18,7 +18,7 @@ from .crypto import (
     ProtocolError,
     RFC3526_2048,
     ThresholdError,
-    modexp,
+    dh_shared_secret,
     shamir_reconstruct,
 )
 from .numeric import (
@@ -149,7 +149,7 @@ def run_share_compromise(scenario: AttackScenario, strategy: AdversaryStrategy) 
             )
             return report
         pair_secrets = {
-            j: modexp(run.clients[j].kp1.pk, sk1, scenario.params.prime)
+            j: dh_shared_secret(sk1, run.clients[j].kp1.pk, scenario.params, run.server.tables)
             for j in run.clients[cid].participants
             if j != cid
         }

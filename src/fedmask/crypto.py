@@ -1,6 +1,16 @@
 """Modular-arithmetic primitives for the aggregation protocol: Diffie-Hellman,
 Shamir threshold sharing, PRG mask expansion, and Schnorr signatures.
 
+Exponentiation takes an optional `tables` dict.  Given one and a modulus
+above 64 bits, `modexp` keeps in it, for each base b, the powers b, b^(2^w),
+b^(2^2w), ... and evaluates every exponent of b from them (the fixed-base
+method of Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92).  A
+secure-aggregation round holds one such dict for all its parties: each public
+key is raised to a fresh secret exponent by every other client, and g by
+every key generation and signature, so one table serves many calls.  The
+tables hold only powers of public values, and every result is bit-identical
+to `pow`.
+
 Shamir reconstruction uses every share it is given: it interpolates through
 the first k and rejects any further share off that polynomial.
 
@@ -13,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +44,12 @@ SHARING_PRIME = MERSENNE61
 # the same field.  Exponentiation stays cheap even in the 2048-bit group.
 MAX_SECRET_EXPONENT = MERSENNE61
 
+# Bits w per exponent digit on the table path.  Measured with 61-bit
+# exponents in the 2048-bit group, 31 exponents per base, table builds
+# included (AMD EPYC, Python 3.11): w = 3 takes 0.17-0.18 ms a call, w = 2
+# and 4 about 0.20 ms, w = 5 0.28 ms, and `pow` 0.57 ms.
+_TABLE_WINDOW = 3
+
 
 class ProtocolError(ValueError):
     """Peer-supplied value violates protocol preconditions."""
@@ -47,14 +64,52 @@ class ThresholdError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def modexp(base: int, exp: int, modulus: int) -> int:
-    """base^exp mod modulus, by gmpy2's powmod when installed and by the
-    interpreter's windowed square-and-multiply otherwise."""
+def modexp(base: int, exp: int, modulus: int, tables: dict | None = None) -> int:
+    """base^exp mod modulus, bit-identical to pow(base, exp, modulus).
+
+    Given a tables dict and a modulus above 64 bits, it is evaluated from the
+    powers of base kept there, built or extended as needed (`_table_pow`).
+    Otherwise it is one call of gmpy2's powmod when installed, or of the
+    builtin `pow`, whose square-and-multiply beats a table evaluated in
+    Python at small moduli.  A non-int base or exponent raises TypeError, as
+    `pow` does."""
     if modulus < 2:
         raise ParameterError("modulus must be >= 2")
     if exp < 0:
         raise ParameterError("exponent must be >= 0")
-    return int(_powmod(base, exp, modulus))
+    if tables is None or modulus.bit_length() <= 64:
+        return int(_powmod(base, exp, modulus))
+    return _table_pow(tables, operator.index(base), operator.index(exp), modulus)
+
+
+def _table_pow(tables: dict, base: int, exp: int, modulus: int) -> int:
+    """base^exp mod modulus from tables[base, modulus] = [b, b^(2^w),
+    b^(2^2w), ...], b = base mod modulus, grown by squaring to as many
+    entries as exp has w-bit digits.  Digit i of exp, when it is d > 0,
+    multiplies entry i into bucket d; the result is the product of
+    bucket_d^d over d, which takes 2 * (2^w - 1) more multiplies."""
+    table = tables.setdefault((base, modulus), [base % modulus])
+    digits = -(-exp.bit_length() // _TABLE_WINDOW)
+    while len(table) < digits:
+        power = table[-1]
+        for _ in range(_TABLE_WINDOW):
+            power = power * power % modulus
+        table.append(power)
+    mask = (1 << _TABLE_WINDOW) - 1
+    buckets = [None] * (mask + 1)
+    for power in table[:digits]:
+        d = exp & mask
+        if d:
+            buckets[d] = power if buckets[d] is None else buckets[d] * power % modulus
+        exp >>= _TABLE_WINDOW
+    # running = product of buckets d..2^w-1, so result = prod bucket_d^d
+    result = running = None
+    for bucket in reversed(buckets[1:]):
+        if bucket is not None:
+            running = bucket if running is None else running * bucket % modulus
+        if running is not None:
+            result = running if result is None else result * running % modulus
+    return 1 if result is None else result
 
 
 @dataclass(frozen=True)
@@ -100,17 +155,19 @@ class KeyPair:
             raise ParameterError("secret key must be >= 1")
 
 
-def generate_keypair(params: DhParams, rng: Rng) -> KeyPair:
+def generate_keypair(params: DhParams, rng: Rng, tables: dict | None = None) -> KeyPair:
     bound = min(params.prime - 2, MAX_SECRET_EXPONENT)
     sk = 1 + rng.randbelow(bound - 1)
-    return KeyPair(sk=sk, pk=modexp(params.generator, sk, params.prime))
+    return KeyPair(sk=sk, pk=modexp(params.generator, sk, params.prime, tables))
 
 
-def dh_shared_secret(my: KeyPair, their_pk: int, params: DhParams) -> int:
-    """Symmetric shared secret pk_j^sk_i = g^(sk_i * sk_j) mod p."""
-    if not (1 < their_pk < params.prime):
+def dh_shared_secret(sk: int, their_pk: int, params: DhParams, tables: dict | None = None) -> int:
+    """Symmetric shared secret pk_j^sk_i = g^(sk_i * sk_j) mod p, for the
+    secret exponent sk_i; a peer key that is not an int in (1, p) raises
+    ProtocolError."""
+    if not (isinstance(their_pk, int) and 1 < their_pk < params.prime):
         raise ProtocolError(f"public key {their_pk} out of range")
-    return modexp(their_pk, my.sk, params.prime)
+    return modexp(their_pk, sk, params.prime, tables)
 
 
 def seed_from_secret(secret: int, label: str = "mask") -> int:
@@ -262,11 +319,11 @@ def _challenge(commitment: int, message: bytes) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sign(message: bytes, sk: int, params: DhParams) -> Signature:
+def sign(message: bytes, sk: int, params: DhParams, tables: dict | None = None) -> Signature:
     # Deterministic nonce from (sk, message): no RNG needed, reproducible runs
     nonce_src = hashlib.sha256(b"nonce|" + _canonical_bytes(sk) + b"|" + message).digest()
     nonce = int.from_bytes(nonce_src, "big") % MAX_SECRET_EXPONENT + 1
-    commitment = modexp(params.generator, nonce, params.prime)
+    commitment = modexp(params.generator, nonce, params.prime, tables)
     e = _challenge(commitment, message)
     return Signature(commitment=commitment, response=nonce + e * sk)
 
@@ -281,7 +338,11 @@ def verify(message: bytes, sig: Signature, pk: int, params: DhParams) -> bool:
         return False
 
 
-@lru_cache(maxsize=4096)
+# Hits come from the clients of one round checking the same broadcast
+# signatures, at most n distinct ones per round, so 256 entries serve rounds
+# up to n = 256.  An entry of a 2048-bit advert holds about 2 KB, and every
+# round adds about 2n entries that no later round reads.
+@lru_cache(maxsize=256)
 def _verify_cached(message: bytes, commitment: int, response: int, pk: int, prime: int, generator: int) -> bool:
     e = _challenge(commitment, message)
     lhs = modexp(generator, response, prime)

@@ -14,6 +14,11 @@ per survivor, using the survivor's sk2 (survivors' sk2 shares are revealed)
 and its pair secrets with the clients dropped after key sharing (only the
 dropped clients' sk1 shares are revealed); masks between two survivors
 cancel in the sum.
+
+Exponent tables: `run_protocol` creates one dict per round and hands it to
+every party as its `tables` field, so the powers of g and of each public key
+that `crypto.modexp` tabulates are built once and shared by all the parties
+that raise those bases (see `crypto`).  The dict is freed with the round.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .crypto import (
     ThresholdError,
     dh_shared_secret,
     generate_keypair,
-    modexp,
     prg_expand,
     seed_from_secret,
     shamir_reconstruct,
@@ -166,6 +170,7 @@ class ClientState:
     held_shares: dict = field(default_factory=dict)  # owner id -> (sk1 share, sk2 share)
     consistency_list: tuple = ()
     abort_reason: str | None = None
+    tables: dict = field(default_factory=dict, repr=False, compare=False)  # the round's, see crypto.modexp
 
 
 def _bundle_key(state: ClientState, peer: int) -> int:
@@ -236,9 +241,9 @@ def _one(state: ClientState, inbox, kind):
 
 
 def _client_advertise(state: ClientState, inbox) -> tuple[ClientState, list]:
-    state.kp1 = generate_keypair(state.params, state.rng.child("kp1"))
-    state.kp2 = generate_keypair(state.params, state.rng.child("kp2"))
-    sig = sign(advert_signing_bytes(state.cid, state.kp1.pk, state.kp2.pk), state.kp1.sk, state.params)
+    state.kp1 = generate_keypair(state.params, state.rng.child("kp1"), state.tables)
+    state.kp2 = generate_keypair(state.params, state.rng.child("kp2"), state.tables)
+    sig = sign(advert_signing_bytes(state.cid, state.kp1.pk, state.kp2.pk), state.kp1.sk, state.params, state.tables)
     return state, [KeyAdvert(sender=state.cid, pk1=state.kp1.pk, pk2=state.kp2.pk, sig=sig)]
 
 
@@ -254,8 +259,8 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
             return state, []
         state.roster[cid] = (pk1, pk2)
         try:
-            state.pair_secrets[cid] = dh_shared_secret(state.kp1, pk1, state.params)
-            state.enc_secrets[cid] = dh_shared_secret(state.kp2, pk2, state.params)
+            state.pair_secrets[cid] = dh_shared_secret(state.kp1.sk, pk1, state.params, state.tables)
+            state.enc_secrets[cid] = dh_shared_secret(state.kp2.sk, pk2, state.params, state.tables)
         except ProtocolError:
             state.abort_reason = f"bad public key from client {cid}"
             return state, []
@@ -310,7 +315,7 @@ def _client_consistency(state: ClientState, inbox) -> tuple[ClientState, list]:
         state.abort_reason = "below threshold at consistency check"
         return state, []
     state.consistency_list = survivors
-    sig = sign(roster_signing_bytes(survivors), state.kp1.sk, state.params)
+    sig = sign(roster_signing_bytes(survivors), state.kp1.sk, state.params, state.tables)
     return state, [ConsistencySig(sender=state.cid, participants=survivors, sig=sig)]
 
 
@@ -359,6 +364,7 @@ class ServerState:
     unmask: dict = field(default_factory=dict)  # id -> UnmaskShares
     abort_reason: str | None = None
     aggregate_field: FieldVector | None = None
+    tables: dict = field(default_factory=dict, repr=False, compare=False)  # the round's, see crypto.modexp
 
     @property
     def u1(self):
@@ -466,13 +472,14 @@ def _server_unmask_aggregate(state: ServerState) -> FieldVector:
     """Sum of c_i - client_mask_i over the survivors i.  Pairwise masks
     between two survivors cancel in the sum, so each survivor's mask needs
     only its sk2 and its pair secrets with the clients dropped after key
-    sharing, derived from their reconstructed sk1 keys."""
+    sharing, derived from their reconstructed sk1 keys.  A public key out of
+    range raises ProtocolError, which the caller turns into the abort."""
     dropped_sk1 = {j: _reconstruct(state, j, "sk1") for j in sorted(set(state.u2) - set(state.u3))}
     total = field_zero(state.dim)
     for cid in state.u3:
         sk2 = _reconstruct(state, cid, "sk2")
         pk1 = state.adverts[cid].pk1
-        pair_secrets = {j: modexp(pk1, sk1, state.params.prime) for j, sk1 in dropped_sk1.items()}
+        pair_secrets = {j: dh_shared_secret(sk1, pk1, state.params, state.tables) for j, sk1 in dropped_sk1.items()}
         mask = client_mask(cid, sk2, pair_secrets, state.dim)
         total = field_add(total, field_sub(state.masked[cid], mask))
     return total
@@ -569,11 +576,12 @@ def run_protocol(
             )
 
     root = Rng(seed)
+    tables: dict = {}  # powers of public values, shared by every party of this round
     clients = {
-        cid: ClientState(cid=cid, weights=inputs[cid], k=k, params=params, rng=root.child("client", cid))
+        cid: ClientState(cid=cid, weights=inputs[cid], k=k, params=params, rng=root.child("client", cid), tables=tables)
         for cid in range(n)
     }
-    server = ServerState(k=k, dim=dim, params=params)
+    server = ServerState(k=k, dim=dim, params=params, tables=tables)
 
     log: list[dict] = []
     pending: dict[int, list] = {cid: [] for cid in clients}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmask import secagg
+from fedmask import crypto, secagg
 from fedmask.crypto import (
     DhParams,
     ProtocolError,
@@ -81,6 +81,56 @@ def test_modexp_validation():
         modexp(2, -1, 7)
 
 
+def test_modexp_table_path_matches_pow():
+    p = RFC3526_2048.prime
+    tables = {}
+    exps = (0, 1, 2, 2**61 - 2, 2**64 - 1, 2**125 + 0x1234567, 2**126 - 1)
+    for base in (0, 1, 2, p - 1, p, p + 3, 5 * p + 7):
+        for exp in exps:
+            assert modexp(base, exp, p, tables) == pow(base, exp, p)
+    assert set(tables) == {(base, p) for base in (0, 1, 2, p - 1, p, p + 3, 5 * p + 7)}
+
+
+def test_modexp_table_grows_past_its_depth():
+    p = RFC3526_2048.prime
+    tables = {}
+    assert modexp(3, 2**61 - 2, p, tables) == pow(3, 2**61 - 2, p)
+    (table,) = tables.values()
+    depth = len(table)
+    top = 1 << (depth * crypto._TABLE_WINDOW)  # one digit past the table
+    for exp in (top - 1, top, top + 1, 3 * top - 1):
+        assert modexp(3, exp, p, tables) == pow(3, exp, p)
+    assert len(table) == depth + 1
+
+
+def test_modexp_one_tables_dict_across_bases_and_exponents():
+    rng = Rng(3).child("tables")
+    p = RFC3526_2048.prime
+    bases = (RFC3526_2048.generator, rng.randbelow(p))
+    tables = {}
+    for i in range(60):
+        base = bases[i % 2]
+        exp = rng.randbelow(1 << int(rng.integers(1, 130)))
+        assert modexp(base, exp, p, tables) == pow(base, exp, p)
+    assert len(tables) == 2
+
+
+def test_modexp_small_modulus_ignores_tables():
+    tables = {}
+    assert modexp(5, 15, 23, tables) == 19
+    assert modexp(3, 2**61 - 2, TOY_GROUP.prime, tables) == pow(3, 2**61 - 2, TOY_GROUP.prime)
+    assert tables == {}
+
+
+@pytest.mark.parametrize("base, exp", [(2.0, 3), ("2", 3), (2, 3.0), (2, "3"), (None, 3)])
+def test_modexp_table_path_rejects_non_ints_as_pow_does(base, exp):
+    p = RFC3526_2048.prime
+    with pytest.raises(TypeError):
+        pow(base, exp, p)
+    with pytest.raises(TypeError):
+        modexp(base, exp, p, {})
+
+
 # ---------------------------------------------------------------------------
 # Diffie-Hellman
 # ---------------------------------------------------------------------------
@@ -97,8 +147,8 @@ def test_dh_tiny_worked_example():
 
     kp_a = KeyPair(sk=a, pk=pk_a)
     kp_b = KeyPair(sk=b, pk=pk_b)
-    s_ab = dh_shared_secret(kp_a, pk_b, params)
-    s_ba = dh_shared_secret(kp_b, pk_a, params)
+    s_ab = dh_shared_secret(kp_a.sk, pk_b, params)
+    s_ba = dh_shared_secret(kp_b.sk, pk_a, params)
     assert s_ab == s_ba == 2
 
 
@@ -107,7 +157,7 @@ def test_dh_symmetric_same_secret():
     from fedmask.crypto import KeyPair
 
     kp = KeyPair(sk=7, pk=modexp(5, 7, 23))
-    assert dh_shared_secret(kp, kp.pk, params) == dh_shared_secret(kp, kp.pk, params)
+    assert dh_shared_secret(kp.sk, kp.pk, params) == dh_shared_secret(kp.sk, kp.pk, params)
 
 
 def test_dh_symmetry_rfc_group():
@@ -115,7 +165,7 @@ def test_dh_symmetry_rfc_group():
     for i in range(25):
         a = generate_keypair(RFC3526_2048, rng.child("a", i))
         b = generate_keypair(RFC3526_2048, rng.child("b", i))
-        assert dh_shared_secret(a, b.pk, RFC3526_2048) == dh_shared_secret(b, a.pk, RFC3526_2048)
+        assert dh_shared_secret(a.sk, b.pk, RFC3526_2048) == dh_shared_secret(b.sk, a.pk, RFC3526_2048)
 
 
 def test_dh_rejects_out_of_range_pk():
@@ -123,9 +173,12 @@ def test_dh_rejects_out_of_range_pk():
 
     kp = generate_keypair(TOY_GROUP, Rng(0).child("kp"))
     with pytest.raises(ProtocolError):
-        dh_shared_secret(kp, TOY_GROUP.prime, TOY_GROUP)
+        dh_shared_secret(kp.sk, TOY_GROUP.prime, TOY_GROUP)
     with pytest.raises(ProtocolError):
-        dh_shared_secret(kp, 1, TOY_GROUP)
+        dh_shared_secret(kp.sk, 1, TOY_GROUP)
+    for pk in (2.0, "2", None):
+        with pytest.raises(ProtocolError):
+            dh_shared_secret(kp.sk, pk, TOY_GROUP)
 
 
 def test_dh_params_validation():

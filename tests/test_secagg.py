@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from fedmask import secagg
-from fedmask.crypto import TOY_GROUP, prg_expand, seed_from_secret, sign
+from fedmask import adversary, crypto, secagg
+from fedmask.crypto import RFC3526_2048, TOY_GROUP, prg_expand, seed_from_secret, sign
 from fedmask.numeric import (
     ParameterError,
     Rng,
@@ -229,6 +229,32 @@ def test_signed_public_key_out_of_range_aborts_its_recipients(monkeypatch):
     assert_aborted_or_exact(run.transcript, inputs)
 
 
+@pytest.mark.parametrize("key", ["pk1", "pk2"])
+@pytest.mark.parametrize("value", [RFC3526_2048.prime, 1, 2.5, "2"], ids=["p", "one", "float", "str"])
+def test_malformed_public_key_in_2048_bit_roster_aborts_its_recipients(monkeypatch, key, value):
+    """Client 1 advertises a bad key and signs it with its real sk1: a bad pk1
+    cannot verify that signature, and a bad pk2 fails the key range check."""
+    original = secagg._client_advertise
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        if state.cid != 1:
+            return state, out
+        (advert,) = out
+        advert = dataclasses.replace(advert, **{key: value})
+        sig = sign(secagg.advert_signing_bytes(1, advert.pk1, advert.pk2), state.kp1.sk, state.params)
+        return state, [dataclasses.replace(advert, sig=sig)]
+
+    monkeypatch.setattr(secagg, "_client_advertise", patched)
+    inputs = random_inputs(4, 3, seed=23)
+    run = run_protocol(inputs, k=3, seed=23, params=RFC3526_2048)
+    reason = "bad keypair signature from client 1" if key == "pk1" else "bad public key from client 1"
+    for cid in (0, 2, 3):
+        assert run.clients[cid].abort_reason == reason
+    assert run.transcript.aborted
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
 def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
     """A server that tells clients 1 and 2 that client 0 dropped, and tells
     clients 0 and 3 the truth, would get sk1 of client 0 from the first pair
@@ -424,6 +450,35 @@ def test_message_counts_match_closed_forms(n, dropout):
     }
     assert all(len(m["bundles"]) == len(u1) - 1 for m in by_type["KeyShares"])
     assert all(len(m["bundles"]) == len(u2) - 1 for m in by_type["ShareDelivery"])
+
+
+@pytest.mark.parametrize("n, d", [(4, 0), (5, 1), (6, 2)])
+def test_modexp_calls_match_cost_formula(monkeypatch, n, d):
+    """One crypto.modexp call per exponentiation in a 2048-bit round with d
+    clients dropped after key sharing: 2n key generations, n advert
+    signatures and 2n modexps to verify them, 2n(n - 1) key agreements,
+    n - d consistency signatures and 2(n - d) to verify them, and (n - d)d
+    pair secrets on the server.  Every binding is counted, as the
+    benchmark's tracer wraps them."""
+    calls = 0
+    original = crypto.modexp
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for module in (crypto, secagg, adversary):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    # the signature cache is keyed by value; a round another test ran would undercount
+    crypto._verify_cached.cache_clear()
+    inputs = random_inputs(n, 3, seed=24)
+    t = run_protocol(inputs, k=3, seed=24, dropout_after={i: 1 for i in range(d)}, params=RFC3526_2048).transcript
+    assert t.included == tuple(range(d, n))
+    assert t.aggregate_field == field_sum_oracle(inputs[d:])
+    assert calls == 5 * n + 2 * n * (n - 1) + 3 * (n - d) + (n - d) * d
 
 
 def test_decoded_aggregate_matches_field_decode():
