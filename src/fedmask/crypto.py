@@ -96,20 +96,18 @@ def _table_pow(tables: dict, base: int, exp: int, modulus: int) -> int:
             power = power * power % modulus
         table.append(power)
     mask = (1 << _TABLE_WINDOW) - 1
-    buckets = [None] * (mask + 1)
+    buckets = [1] * (mask + 1)
     for power in table[:digits]:
         d = exp & mask
         if d:
-            buckets[d] = power if buckets[d] is None else buckets[d] * power % modulus
+            buckets[d] = buckets[d] * power % modulus
         exp >>= _TABLE_WINDOW
-    # running = product of buckets d..2^w-1, so result = prod bucket_d^d
-    result = running = None
+    # running is the product of buckets d..2^w-1, so result = prod bucket_d^d
+    result = running = 1
     for bucket in reversed(buckets[1:]):
-        if bucket is not None:
-            running = bucket if running is None else running * bucket % modulus
-        if running is not None:
-            result = running if result is None else result * running % modulus
-    return 1 if result is None else result
+        running = running * bucket % modulus
+        result = result * running % modulus
+    return result
 
 
 @dataclass(frozen=True)
@@ -338,10 +336,10 @@ def verify(message: bytes, sig: Signature, pk: int, params: DhParams) -> bool:
         return False
 
 
-# Hits come from the clients of one round checking the same broadcast
-# signatures, at most n distinct ones per round, so 256 entries serve rounds
-# up to n = 256.  An entry of a 2048-bit advert holds about 2 KB, and every
-# round adds about 2n entries that no later round reads.
+# Hits come from the clients of one round checking the same n broadcast
+# signatures one after another, so 256 entries serve rounds up to n = 256.
+# An entry of a 2048-bit advert holds about 2 KB, and every round adds about
+# 2n entries that no later round reads.
 @lru_cache(maxsize=256)
 def _verify_cached(message: bytes, commitment: int, response: int, pk: int, prime: int, generator: int) -> bool:
     e = _challenge(commitment, message)
