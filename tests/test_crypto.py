@@ -84,11 +84,12 @@ def test_modexp_validation():
 def test_modexp_table_path_matches_pow():
     p = RFC3526_2048.prime
     tables = {}
+    bases = (0, 1, 2, p - 1, p, p + 3, 5 * p + 7)
     exps = (0, 1, 2, 2**61 - 2, 2**64 - 1, 2**125 + 0x1234567, 2**126 - 1)
-    for base in (0, 1, 2, p - 1, p, p + 3, 5 * p + 7):
+    for base in bases:
         for exp in exps:
             assert modexp(base, exp, p, tables) == pow(base, exp, p)
-    assert set(tables) == {(base, p) for base in (0, 1, 2, p - 1, p, p + 3, 5 * p + 7)}
+    assert set(tables) == {(base, p) for base in bases}
 
 
 def test_modexp_table_grows_past_its_depth():
