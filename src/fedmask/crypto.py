@@ -7,9 +7,14 @@ b^(2^2w), ... and evaluates every exponent of b from them (the fixed-base
 method of Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92).  A
 secure-aggregation round holds one such dict for all its parties: each public
 key is raised to a fresh secret exponent by every other client, and g by
-every key generation and signature, so one table serves many calls.  The
-tables hold only powers of public values, and every result is bit-identical
-to `pow`.
+every key generation, signature and signature check, so one table serves
+many calls.  `verify` also keeps its results in that dict, so a signature
+broadcast to every client is checked once per round; it rejects a response
+too long for an honest signature before any exponentiation, so no peer
+chooses how far g's table grows.  Everything in the dict is a function of
+public values, every result is bit-identical to `pow`, and nothing is cached
+at module level.  Off the table path an exponentiation is one `pow` (or
+gmpy2 `powmod`) call.
 
 Shamir reconstruction uses every share it is given: it interpolates through
 the first k and rejects any further share off that polynomial.
@@ -25,7 +30,6 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -326,23 +330,31 @@ def sign(message: bytes, sk: int, params: DhParams, tables: dict | None = None) 
     return Signature(commitment=commitment, response=nonce + e * sk)
 
 
-def verify(message: bytes, sig: Signature, pk: int, params: DhParams) -> bool:
+def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: dict | None = None) -> bool:
+    """Whether sig is a Schnorr signature of message under pk: g^s == r *
+    pk^e mod p for e the challenge of (r, message).  A malformed signature,
+    and a response s of 2^64 * (2^61 - 1) or more (no honest s reaches
+    it), give False before any exponentiation.
+
+    Given the round's tables dict, both exponentiations use its tables, and
+    the result is kept there under a tagged key, so every client of a round
+    checking the same broadcast signature runs the check once."""
     try:
-        if not (0 < sig.commitment < params.prime) or sig.response < 0:
+        commitment, response = sig.commitment, sig.response
+        # an honest s = nonce + e * sk lies below 2^64 * (2^61 - 1), as the
+        # nonce is at most 2^61 - 1, sk below it and e below 2^64; a larger
+        # one would size g's table to a length the peer chooses
+        if not (0 < commitment < params.prime and 0 <= response < MAX_SECRET_EXPONENT << 64):
             return False
-        # every client checks the same broadcast signatures, so cache by value
-        return _verify_cached(message, sig.commitment, sig.response, pk, params.prime, params.generator)
+        key = ("verify", message, commitment, response, pk, params.prime, params.generator)
+        if tables is not None and key in tables:
+            return tables[key]
+        e = _challenge(commitment, message)
+        ok = modexp(params.generator, response, params.prime, tables) == (
+            commitment * modexp(pk, e, params.prime, tables) % params.prime
+        )
     except (ParameterError, AttributeError, TypeError):
         return False
-
-
-# Hits come from the clients of one round checking the same n broadcast
-# signatures one after another, so 256 entries serve rounds up to n = 256.
-# An entry of a 2048-bit advert holds about 2 KB, and every round adds about
-# 2n entries that no later round reads.
-@lru_cache(maxsize=256)
-def _verify_cached(message: bytes, commitment: int, response: int, pk: int, prime: int, generator: int) -> bool:
-    e = _challenge(commitment, message)
-    lhs = modexp(generator, response, prime)
-    rhs = (commitment * modexp(pk, e, prime)) % prime
-    return lhs == rhs
+    if tables is not None:
+        tables[key] = ok
+    return ok

@@ -16,9 +16,12 @@ dropped clients' sk1 shares are revealed); masks between two survivors
 cancel in the sum.
 
 Exponent tables: `run_protocol` creates one dict per round and hands it to
-every party as its `tables` field, so the powers of g and of each public key
-that `crypto.modexp` tabulates are built once and shared by all the parties
-that raise those bases (see `crypto`).  The dict is freed with the round.
+every party as its `tables` field.  It holds the round's exponent tables, the
+powers of g and of each public key that `crypto.modexp` tabulates, built once
+and shared by all the parties that raise those bases, and the results of
+`crypto.verify`, so each broadcast signature is checked once per round (see
+`crypto`).  The dict is freed with the round, and no round shares anything
+with another.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ class ClientState:
     held_shares: dict = field(default_factory=dict)  # owner id -> (sk1 share, sk2 share)
     consistency_list: tuple = ()
     abort_reason: str | None = None
-    tables: dict = field(default_factory=dict, repr=False, compare=False)  # the round's, see crypto.modexp
+    tables: dict = field(default_factory=dict, repr=False, compare=False)  # the round's exponent tables and signature results
 
 
 def _bundle_key(state: ClientState, peer: int) -> int:
@@ -254,7 +257,7 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
     for cid, pk1, pk2, sig in msg.roster:
         if cid == state.cid:
             continue
-        if not verify(advert_signing_bytes(cid, pk1, pk2), sig, pk1, state.params):
+        if not verify(advert_signing_bytes(cid, pk1, pk2), sig, pk1, state.params, state.tables):
             state.abort_reason = f"bad keypair signature from client {cid}"
             return state, []
         state.roster[cid] = (pk1, pk2)
@@ -337,7 +340,7 @@ def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
         if cid == state.cid:
             continue
         pk1 = state.roster.get(cid, (None, None))[0]
-        if pk1 is None or not verify(expected, sig, pk1, state.params):
+        if pk1 is None or not verify(expected, sig, pk1, state.params, state.tables):
             state.abort_reason = f"bad consistency signature from client {cid}"
             return state, []
     held = state.held_shares
@@ -364,7 +367,7 @@ class ServerState:
     unmask: dict = field(default_factory=dict)  # id -> UnmaskShares
     abort_reason: str | None = None
     aggregate_field: FieldVector | None = None
-    tables: dict = field(default_factory=dict, repr=False, compare=False)  # the round's, see crypto.modexp
+    tables: dict = field(default_factory=dict, repr=False, compare=False)  # the round's exponent tables and signature results
 
     @property
     def u1(self):
@@ -525,10 +528,19 @@ def _serialize_value(v):
     if isinstance(v, (tuple, list)):
         return [_serialize_value(x) for x in v]
     if hasattr(v, "commitment"):  # Signature
-        return {"commitment": str(v.commitment), "response": str(v.response)}
+        return {"commitment": _big_text(v.commitment), "response": _big_text(v.response)}
     if isinstance(v, (int, str, float)) or v is None:
-        return str(v) if isinstance(v, int) and abs(v) > 2**53 else v
+        return _big_text(v) if isinstance(v, int) and abs(v) > 2**53 else v
     return repr(v)
+
+
+def _big_text(v) -> str:
+    """str(v), or hex for a peer's int too long for Python's decimal
+    conversion (over 4300 digits by default; honest values are far shorter)."""
+    try:
+        return str(v)
+    except ValueError:
+        return hex(v)
 
 
 def serialize_message(msg) -> dict:
@@ -576,7 +588,7 @@ def run_protocol(
             )
 
     root = Rng(seed)
-    tables: dict = {}  # powers of public values, shared by every party of this round
+    tables: dict = {}  # exponent tables and signature results, shared by every party of this round
     clients = {
         cid: ClientState(cid=cid, weights=inputs[cid], k=k, params=params, rng=root.child("client", cid), tables=tables)
         for cid in range(n)

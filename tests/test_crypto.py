@@ -471,3 +471,91 @@ def test_schnorr_big_group():
     kp = generate_keypair(RFC3526_2048, Rng(12).child("kp"))
     msg = b"roster|0,1,2"
     assert verify(msg, sign(msg, kp.sk, RFC3526_2048), kp.pk, RFC3526_2048)
+
+
+GROUPS = pytest.mark.parametrize("params", [TOY_GROUP, RFC3526_2048], ids=["toy", "rfc3526"])
+MAX_RESPONSE = crypto.MAX_SECRET_EXPONENT << 64
+
+
+@pytest.fixture
+def modexp_calls(monkeypatch):
+    """A list that gets one entry per crypto.modexp call."""
+    calls = []
+    original = crypto.modexp
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(crypto, "modexp", counted)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), message=st.binary(max_size=40))
+def test_property_honest_response_below_bound(seed, message):
+    for params in (TOY_GROUP, RFC3526_2048):
+        kp = generate_keypair(params, Rng(seed).child("kp"))
+        sig = sign(message, kp.sk, params)
+        assert 0 <= sig.response < MAX_RESPONSE
+        assert verify(message, sig, kp.pk, params, {})
+
+
+def test_honest_response_bound_is_tight_for_largest_inputs():
+    # nonce 2^61 - 1, sk 2^61 - 2 and e 2^64 - 1 give the largest honest s
+    largest = crypto.MAX_SECRET_EXPONENT + (2**64 - 1) * (crypto.MAX_SECRET_EXPONENT - 1)
+    assert largest < MAX_RESPONSE
+    assert largest + 2**64 >= MAX_RESPONSE
+
+
+@GROUPS
+def test_overlong_response_rejected_before_any_exponentiation(modexp_calls, params):
+    kp = generate_keypair(params, Rng(13).child("kp"))
+    sig = sign(b"m", kp.sk, params)
+    modexp_calls.clear()
+    tables = {}
+    for response in (sig.response + 2**20000, MAX_RESPONSE):
+        assert not verify(b"m", dataclasses.replace(sig, response=response), kp.pk, params, tables)
+    assert modexp_calls == []
+    assert tables == {}
+
+
+def signature_cases(params):
+    """(message, signature, pk) triples: honest, wrong message, wrong key,
+    commitments 0 and p, a negative response, and a non-Signature."""
+    kp = generate_keypair(params, Rng(14).child("a"))
+    other = generate_keypair(params, Rng(14).child("b"))
+    sig = sign(b"msg", kp.sk, params)
+    return [
+        (b"msg", sig, kp.pk),
+        (b"msh", sig, kp.pk),
+        (b"msg", sig, other.pk),
+        (b"msg", dataclasses.replace(sig, commitment=0), kp.pk),
+        (b"msg", dataclasses.replace(sig, commitment=params.prime), kp.pk),
+        (b"msg", dataclasses.replace(sig, response=-1), kp.pk),
+        (b"msg", "not a signature", kp.pk),
+    ]
+
+
+@GROUPS
+def test_verify_with_tables_matches_direct_check(params):
+    cases = signature_cases(params)
+    tables = {}
+    results = [verify(m, sig, pk, params, tables) for m, sig, pk in cases]
+    assert results == [verify(m, sig, pk, params) for m, sig, pk in cases]
+    assert results == [True] + [False] * (len(cases) - 1)
+    # a second pass reads the kept results
+    assert [verify(m, sig, pk, params, tables) for m, sig, pk in cases] == results
+
+
+@GROUPS
+def test_verify_runs_each_check_once_per_tables_dict(modexp_calls, params):
+    for message, sig, pk in signature_cases(params)[:3]:
+        modexp_calls.clear()
+        tables = {}
+        verify(message, sig, pk, params, tables)
+        assert len(modexp_calls) == 2
+        verify(message, sig, pk, params, tables)
+        assert len(modexp_calls) == 2
+        verify(message, sig, pk, params, {})
+        assert len(modexp_calls) == 4

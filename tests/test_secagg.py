@@ -255,6 +255,30 @@ def test_malformed_public_key_in_2048_bit_roster_aborts_its_recipients(monkeypat
     assert_aborted_or_exact(run.transcript, inputs)
 
 
+def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
+    """Client 1's advert signature carries s + 2^20000, which is still a
+    valid Schnorr response for pk1 in size only; every other client rejects
+    it before raising g to it, so g's table stays at the 42 entries of a
+    125-bit honest response."""
+    original = secagg._client_advertise
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        if state.cid != 1:
+            return state, out
+        (advert,) = out
+        sig = dataclasses.replace(advert.sig, response=advert.sig.response + 2**20000)
+        return state, [dataclasses.replace(advert, sig=sig)]
+
+    monkeypatch.setattr(secagg, "_client_advertise", patched)
+    inputs = random_inputs(4, 3, seed=23)
+    run = run_protocol(inputs, k=3, seed=23, params=RFC3526_2048)
+    for cid in (0, 2, 3):
+        assert run.clients[cid].abort_reason == "bad keypair signature from client 1"
+    assert run.transcript.aborted
+    assert len(run.server.tables[RFC3526_2048.generator, RFC3526_2048.prime]) <= 42
+
+
 def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
     """A server that tells clients 1 and 2 that client 0 dropped, and tells
     clients 0 and 3 the truth, would get sk1 of client 0 from the first pair
@@ -459,7 +483,8 @@ def test_modexp_calls_match_cost_formula(monkeypatch, n, d):
     signatures and 2n modexps to verify them, 2n(n - 1) key agreements,
     n - d consistency signatures and 2(n - d) to verify them, and (n - d)d
     pair secrets on the server.  Every binding is counted, as the
-    benchmark's tracer wraps them."""
+    benchmark's tracer wraps them.  The round is run twice, and each must
+    make them all."""
     calls = 0
     original = crypto.modexp
 
@@ -472,13 +497,14 @@ def test_modexp_calls_match_cost_formula(monkeypatch, n, d):
         for name, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, name, counted)
-    # the signature cache is keyed by value; a round another test ran would undercount
-    crypto._verify_cached.cache_clear()
     inputs = random_inputs(n, 3, seed=24)
-    t = run_protocol(inputs, k=3, seed=24, dropout_after={i: 1 for i in range(d)}, params=RFC3526_2048).transcript
-    assert t.included == tuple(range(d, n))
-    assert t.aggregate_field == field_sum_oracle(inputs[d:])
-    assert calls == 5 * n + 2 * n * (n - 1) + 3 * (n - d) + (n - d) * d
+    # rounds share nothing: a second same-seed round redoes every check
+    for _ in range(2):
+        calls = 0
+        t = run_protocol(inputs, k=3, seed=24, dropout_after={i: 1 for i in range(d)}, params=RFC3526_2048).transcript
+        assert t.included == tuple(range(d, n))
+        assert t.aggregate_field == field_sum_oracle(inputs[d:])
+        assert calls == 5 * n + 2 * n * (n - 1) + 3 * (n - d) + (n - d) * d
 
 
 def test_decoded_aggregate_matches_field_decode():
