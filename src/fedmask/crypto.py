@@ -137,7 +137,7 @@ RFC3526_2048 = DhParams(
         "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
         "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9"
         "DE2BCBF6955817183995497CEA956AE515D2261898FA0510"
-        "15728E5A8AACAA68FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF",
+        "15728E5A8AACAA68FFFFFFFFFFFFFFFF",
         16,
     ),
     generator=2,

@@ -74,6 +74,51 @@ def test_modexp_matches_builtin_big_modulus():
         assert modexp(base, exp, p) == pow(base, exp, p)
 
 
+# RFC 3526 section 3, the 2048-bit MODP group (group 14), as printed there
+RFC3526_2048_HEX = """
+    FFFFFFFF FFFFFFFF C90FDAA2 2168C234 C4C6628B 80DC1CD1
+    29024E08 8A67CC74 020BBEA6 3B139B22 514A0879 8E3404DD
+    EF9519B3 CD3A431B 302B0A6D F25F1437 4FE1356D 6D51C245
+    E485B576 625E7EC6 F44C42E9 A637ED6B 0BFF5CB6 F406B7ED
+    EE386BFB 5A899FA5 AE9F2411 7C4B1FE6 49286651 ECE45B3D
+    C2007CB8 A163BF05 98DA4836 1C55D39A 69163FA8 FD24CF5F
+    83655D23 DCA3AD96 1C62F356 208552BB 9ED52907 7096966D
+    670C354E 4ABC9804 F1746C08 CA18217C 32905E46 2E36CE3B
+    E39E772C 180E8603 9B2783A2 EC07A28F B5C55DF0 6F4C52C9
+    DE2BCBF6 95581718 3995497C EA956AE5 15D22618 98FA0510
+    15728E5A 8AACAA68 FFFFFFFF FFFFFFFF
+"""
+
+
+def miller_rabin(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_rfc3526_group_is_the_published_safe_prime():
+    digits = "".join(RFC3526_2048_HEX.split())
+    assert len(digits) == 512
+    p = RFC3526_2048.prime
+    assert p == int(digits, 16)
+    assert p.bit_length() == 2048
+    assert miller_rabin(p) and miller_rabin((p - 1) // 2)
+    assert not miller_rabin(p * 2**64 + 2**64 - 1)  # the literal with 16 extra F digits
+    # 2 generates the subgroup of order (p - 1) / 2
+    assert RFC3526_2048.generator == 2 and pow(2, (p - 1) // 2, p) == 1
+
+
 def test_modexp_validation():
     with pytest.raises(ParameterError):
         modexp(2, 3, 1)
@@ -413,7 +458,7 @@ def test_transcript_known_answer_rfc3526():
     t = secagg.run_protocol(inputs, 3, seed=13, dropout_after={0: 1}, params=RFC3526_2048).transcript
     assert t.included == (1, 2, 3, 4)
     assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
-    assert _digest(t.to_jsonl().encode()) == "3e34d986507493da"
+    assert _digest(t.to_jsonl().encode()) == "8a8b3f32ec7aaa3b"
 
 
 @settings(max_examples=40, deadline=None)
