@@ -336,9 +336,10 @@ def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: di
     and a response s of 2^64 * (2^61 - 1) or more (no honest s reaches
     it), give False before any exponentiation.
 
-    Given the round's tables dict, both exponentiations use its tables, and
-    the result is kept there under a tagged key, so every client of a round
-    checking the same broadcast signature runs the check once."""
+    Given the round's tables dict, both exponentiations go through `modexp`
+    with it, and the result is kept there under a tagged key, so every
+    client of a round checking the same broadcast signature runs the check
+    once."""
     try:
         commitment, response = sig.commitment, sig.response
         # an honest s = nonce + e * sk lies below 2^64 * (2^61 - 1), as the

@@ -546,13 +546,6 @@ def test_property_honest_response_below_bound(seed, message):
         assert verify(message, sig, kp.pk, params, {})
 
 
-def test_honest_response_bound_is_tight_for_largest_inputs():
-    # nonce 2^61 - 1, sk 2^61 - 2 and e 2^64 - 1 give the largest honest s
-    largest = crypto.MAX_SECRET_EXPONENT + (2**64 - 1) * (crypto.MAX_SECRET_EXPONENT - 1)
-    assert largest < MAX_RESPONSE
-    assert largest + 2**64 >= MAX_RESPONSE
-
-
 @GROUPS
 def test_overlong_response_rejected_before_any_exponentiation(modexp_calls, params):
     kp = generate_keypair(params, Rng(13).child("kp"))

@@ -256,10 +256,9 @@ def test_malformed_public_key_in_2048_bit_roster_aborts_its_recipients(monkeypat
 
 
 def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
-    """Client 1's advert signature carries s + 2^20000, which is still a
-    valid Schnorr response for pk1 in size only; every other client rejects
-    it before raising g to it, so g's table stays at the 42 entries of a
-    125-bit honest response."""
+    """Client 1's advert signature carries the response s + 2^20000; every
+    other client rejects it before raising g to it, so g's table keeps at
+    most 42 entries, one per 3-bit digit of a 125-bit honest response."""
     original = secagg._client_advertise
 
     def patched(state, inbox):
