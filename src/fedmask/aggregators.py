@@ -6,6 +6,8 @@ a selection rule (returns one of its inputs); the others synthesize a vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numeric import ParameterError, as_vector, vec_mean
@@ -48,6 +50,8 @@ def krum(vectors, delta: float = 0.0) -> np.ndarray:
     delta is the assumed Byzantine fraction; floor(delta * n) + 2 vectors are
     excluded from each score's neighbor set.
     """
+    if not 0 <= delta < math.inf:
+        raise ParameterError("delta must be finite and >= 0")
     X = _stack(vectors)
     n = X.shape[0]
     f = int(np.floor(delta * n))
@@ -58,6 +62,10 @@ def krum(vectors, delta: float = 0.0) -> np.ndarray:
 
 def geometric_median(vectors, max_iters: int = 200, tol: float = 1e-8) -> np.ndarray:
     """Weiszfeld iteration for the approximate geometric median."""
+    if max_iters < 1:
+        raise ParameterError("max_iters must be >= 1")
+    if not 0 < tol < math.inf:
+        raise ParameterError("tol must be finite and > 0")
     X = _stack(vectors)
     if X.shape[0] == 1:
         return X[0].copy()
@@ -96,8 +104,8 @@ def coord_median(vectors) -> np.ndarray:
 
 def centered_clip(vectors, v0=None, tau: float = 1.0, iters: int = 5) -> np.ndarray:
     """Iterative clipped averaging from an initial center v0 (default: zeros)."""
-    if tau < 0:
-        raise ParameterError("tau must be >= 0")
+    if not 0 <= tau < math.inf:
+        raise ParameterError("tau must be finite and >= 0")
     if iters < 1:
         raise ParameterError("iters must be >= 1")
     X = _stack(vectors)

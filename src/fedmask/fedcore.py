@@ -1,9 +1,10 @@
-"""Federated training loops: FedAvg with and without weight masking, DP-SGD
-with and without a final mask, and a basic-composition privacy accountant.
+"""Federated training loops: FedAvg over masked client updates, DP-SGD with
+and without a final mask, and a basic-composition privacy accountant.
 
 The mask defense adds uniform noise U[-alpha, alpha] to local weights once,
 after all local steps; under aggregation over many clients the noise averages
-toward zero while each individual masked model stays obscured.
+toward zero while each individual masked model stays obscured.  Every FedAvg
+client update is masked; alpha 0 is the zero mask, so it trains unmasked.
 """
 
 from __future__ import annotations
@@ -28,22 +29,17 @@ class FedConfig:
     loss: str = "cross_entropy"
     aggregator: str = "mean"
     aggregator_params: dict = field(default_factory=dict)
-    weighted: bool = False  # weight client updates by dataset size (mean only)
-    client_min_alpha: float = 0.0  # clients refuse to mask below this alpha
 
     def __post_init__(self):
         for name in ("n_clients", "t_global", "t_local"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        for name in ("alpha", "client_min_alpha"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ParameterError("alpha must lie in [0, 1]")
         if not 0 < self.eta < math.inf:
             raise ParameterError("eta must be finite and > 0")
         if self.aggregator not in aggregators.AGGREGATORS:
             raise ParameterError(f"unknown aggregator {self.aggregator!r}")
-        if self.weighted and self.aggregator != "mean":
-            raise ParameterError(f"weighted aggregation needs the mean, not {self.aggregator!r}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,10 @@ class DpConfig:
     loss: str = "cross_entropy"
 
     def __post_init__(self):
-        if self.clip_threshold <= 0:
+        # written so that NaN fails both checks; an infinite clip stays legal
+        if not self.clip_threshold > 0:
             raise ParameterError("clip threshold must be > 0")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ParameterError("noise scale must be >= 0")
         for name in ("group_size", "steps"):
             if getattr(self, name) < 1:
@@ -131,33 +128,22 @@ def masked_client_update(
 
 
 def run_fedavg(model: TinyModel, partitions, cfg: FedConfig, rng: Rng) -> TinyModel:
-    """Full FedAvg loop over cfg.t_global rounds; alpha > 0 masks clients.
+    """Full FedAvg loop over cfg.t_global rounds of masked client updates.
 
     Aggregation consumes client results in client-id order, so outcomes are
     seed-reproducible regardless of how clients would be scheduled.
     """
     if len(partitions) != cfg.n_clients:
         raise ParameterError("one data partition per client required")
-    if cfg.alpha < cfg.client_min_alpha:
-        raise ParameterError(f"clients refuse: alpha {cfg.alpha} below the configured minimum {cfg.client_min_alpha}")
     current = model
     for t in range(cfg.t_global):
-        updates = []
-        sizes = []
-        for cid, (x, y) in enumerate(partitions):
-            client_rng = rng.child("round", t, "client", cid)
-            if cfg.alpha > 0:
-                w = masked_client_update(current, x, y, cfg.t_local, cfg.eta, cfg.alpha, client_rng, cfg.loss)
-            else:
-                w = client_update(current, x, y, cfg.t_local, cfg.eta, cfg.loss)
-            updates.append(w)
-            sizes.append(x.shape[0])
-        if cfg.weighted:
-            weights = np.asarray(sizes, dtype=np.float64)
-            agg = np.sum([u * (s / weights.sum()) for u, s in zip(updates, weights)], axis=0)
-        else:
-            agg = aggregators.aggregate(cfg.aggregator, updates, **cfg.aggregator_params)
-        current = unflatten(current, agg)
+        updates = [
+            masked_client_update(
+                current, x, y, cfg.t_local, cfg.eta, cfg.alpha, rng.child("round", t, "client", cid), cfg.loss
+            )
+            for cid, (x, y) in enumerate(partitions)
+        ]
+        current = unflatten(current, aggregators.aggregate(cfg.aggregator, updates, **cfg.aggregator_params))
     return current
 
 

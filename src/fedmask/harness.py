@@ -15,7 +15,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -307,29 +306,28 @@ GLYPH_MODEL_SIZES = (GLYPH_DIM, 32, GLYPH_CLASSES)
 GLYPH_PARAM_COUNT = count_params(GLYPH_MODEL_SIZES)
 
 
-def glyph_eval_set(seed: int = 7):
-    rng = Rng(seed).child("glyph-eval")
-    return make_glyphs(20, rng)
+def glyph_eval_set():
+    return make_glyphs(20, Rng(7).child("glyph-eval"))
 
 
-@lru_cache(maxsize=None)
-def pretrained_glyph_model(seed: int = 7, steps: int = 800, eta: float = 0.5, clip: float = 0.1) -> TinyModel:
+def pretrained_glyph_model() -> TinyModel:
     """A small classifier trained to high accuracy on the bundled glyph task.
 
-    Weights are clipped to [-clip, clip] after every step, keeping them on the
-    scale of real deep networks' parameters so unit-scale additive masks are
-    individually destructive while their client-average still cancels out.
-    Deterministic and cached per hyperparameter tuple; sweeps reuse one model.
+    800 minibatch SGD steps at eta 0.5 from seed 7.  Weights are clipped to
+    [-0.1, 0.1] after every step, keeping them on the scale of real deep
+    networks' parameters so unit-scale additive masks are individually
+    destructive while their client-average still cancels out.
+    Deterministic: every call trains the same model from scratch.
     """
-    rng = Rng(seed)
+    rng = Rng(7)
     inputs, labels = make_glyphs(30, rng.child("train-data"))
     model = init_model(GLYPH_MODEL_SIZES, activation="tanh", rng=rng.child("init"))
     n = inputs.shape[0]
     order_rng = rng.child("batches")
-    for step in range(steps):
+    for _ in range(800):
         idx = order_rng.choice(n, 32, replace=False)
-        model = sgd_step(model, Batch(inputs=inputs[idx], labels=labels[idx]), eta, "cross_entropy")
-        model = unflatten(model, np.clip(flatten(model), -clip, clip))
+        model = sgd_step(model, Batch(inputs=inputs[idx], labels=labels[idx]), 0.5, "cross_entropy")
+        model = unflatten(model, np.clip(flatten(model), -0.1, 0.1))
     return model
 
 

@@ -144,11 +144,6 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 
-def forward(model: TinyModel, x: np.ndarray) -> np.ndarray:
-    """Final-layer activations for a single input vector."""
-    return forward_batch(model, as_vector(x)[None, :])[0]
-
-
 def forward_batch(model: TinyModel, X: np.ndarray) -> np.ndarray:
     return _forward_trace(model, X)[1][-1]
 
@@ -313,18 +308,16 @@ def mask_bigram_probs(lm: BigramLM, alpha: float, rng: Rng) -> np.ndarray:
     return normed
 
 
-def lm_log_perplexity(lm, tokens, context: int | None = None) -> float:
+def lm_log_perplexity(table: np.ndarray, tokens, context: int | None = None) -> float:
     """Sum of -log2 transition probabilities, in bits.
 
-    The first token is scored against a uniform prior over the vocabulary,
-    or against the row of ``context`` when a boundary context is given.
-    Accepts a BigramLM or a raw (V, V) row-stochastic table (e.g. a masked
-    table).  A zero-probability transition yields +inf.
+    ``table`` is a (V, V) row-stochastic transition table, such as a
+    BigramLM's ``probs`` or a masked table.  The first token is scored
+    against a uniform prior over the vocabulary, or against the row of
+    ``context`` when a boundary context is given.  A zero-probability
+    transition yields +inf.
     """
-    if isinstance(lm, BigramLM):
-        table = lm.probs
-    else:
-        table = np.asarray(lm, dtype=np.float64)
+    table = np.asarray(table, dtype=np.float64)
     V = table.shape[0]
     tokens = list(tokens)
     if not tokens:

@@ -2,6 +2,7 @@
 implementation oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -252,6 +253,32 @@ def test_bulyan_validation():
         bulyan([np.zeros(2)] * 7, d=-1)
     with pytest.raises(ParameterError):
         bulyan([np.zeros(2)] * 7, d=1, inner="bulyan")
+
+
+# ---------------------------------------------------------------------------
+# Parameter ranges
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rule, name, value",
+    [
+        ("krum", "delta", math.nan),
+        ("krum", "delta", math.inf),
+        ("krum", "delta", -0.5),
+        ("centered_clip", "tau", math.nan),
+        ("centered_clip", "tau", math.inf),
+        ("geometric_median", "tol", math.nan),
+        ("geometric_median", "tol", math.inf),
+        ("geometric_median", "tol", 0.0),
+        ("geometric_median", "max_iters", 0),
+    ],
+)
+def test_rule_parameter_out_of_range(rule, name, value):
+    # checked before any arithmetic, so a NaN or infinite parameter never
+    # reaches floor(), a clip factor or a stopping test
+    with pytest.raises(ParameterError, match=name):
+        aggregate(rule, [np.zeros(2)] * 5, **{name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from fedmask.attacks import (
-    DLG_ALPHA_GRID,
     DlgConfig,
     GAN_MODES,
     GanPair,
     GanSchedule,
     LP_PROB_FLOOR,
     _batched_fd_gradient,
-    calibrate_dlg_alpha,
     default_gan_pair,
     dlg_attack,
     gan_attack,
@@ -137,23 +135,6 @@ def test_dlg_config_validation():
         for name in ("eta", "fd_step", "mse_threshold", "init_scale"):
             with pytest.raises(ParameterError, match=name):
                 DlgConfig(**{name: bad})
-
-
-def test_calibrate_dlg_alpha_plumbing():
-    class R:
-        def __init__(self, success):
-            self.success = success
-
-    # successes die out at alpha >= 0.05
-    def run_one(alpha, seed):
-        return R(success=alpha < 0.05 and seed < 9)
-
-    assert calibrate_dlg_alpha(run_one, alphas=DLG_ALPHA_GRID, seeds=range(10)) == 0.05
-
-    def never_fails(alpha, seed):
-        return R(success=True)
-
-    assert calibrate_dlg_alpha(never_fails, alphas=(0.1, 0.2), seeds=range(3)) is None
 
 
 # ---------------------------------------------------------------------------

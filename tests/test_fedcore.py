@@ -47,10 +47,7 @@ def test_fed_config_validation():
         {"eta": math.inf},
         {"t_global": 0},
         {"t_local": 0},
-        {"client_min_alpha": -1.0},
-        {"client_min_alpha": 1.5},
         {"aggregator": "bogus"},
-        {"weighted": True, "aggregator": "krum"},
     ):
         with pytest.raises(ParameterError):
             FedConfig(n_clients=2, **bad)
@@ -68,9 +65,19 @@ def test_dp_config_validation():
     with pytest.raises(ParameterError):
         # noise without a finite clip has unbounded sensitivity
         DpConfig(noise_scale=1.0, clip_threshold=math.inf, group_size=1, steps=1)
-    for bad in ({"eta": -1.0}, {"eta": math.nan}, {"eta": math.inf}, {"delta_target": 0.0}, {"delta_target": 2.0}):
+    for bad in (
+        {"eta": -1.0},
+        {"eta": math.nan},
+        {"eta": math.inf},
+        {"delta_target": 0.0},
+        {"delta_target": 2.0},
+        {"noise_scale": math.nan},
+        {"clip_threshold": math.nan},
+    ):
         with pytest.raises(ParameterError):
-            DpConfig(noise_scale=0.0, clip_threshold=1.0, group_size=1, steps=1, **bad)
+            DpConfig(**{"noise_scale": 0.0, "clip_threshold": 1.0, "group_size": 1, "steps": 1, **bad})
+    # an infinite clip threshold disables clipping and stays legal without noise
+    DpConfig(noise_scale=0.0, clip_threshold=math.inf, group_size=1, steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,30 +160,11 @@ def test_run_fedavg_masked_deviation_shrinks_with_n():
     assert devs[2] < 5 * 0.5 / np.sqrt(3 * 1000)
 
 
-def test_run_fedavg_client_refusal():
-    model, inputs, labels = glyph_setup(seed=6)
-    parts = partition(inputs, labels, 2, Rng(6).child("part"))
-    cfg = FedConfig(n_clients=2, alpha=0.05, client_min_alpha=0.1)
-    with pytest.raises(ParameterError, match="refuse"):
-        run_fedavg(model, parts, cfg, Rng(6).child("fed"))
-
-
 def test_run_fedavg_partition_count_checked():
     model, inputs, labels = glyph_setup(seed=7)
     parts = partition(inputs, labels, 2, Rng(7).child("part"))
     with pytest.raises(ParameterError):
         run_fedavg(model, parts, FedConfig(n_clients=3), Rng(7))
-
-
-def test_run_fedavg_weighted_mean():
-    model, inputs, labels = glyph_setup(seed=8)
-    parts = [(inputs[:10], labels[:10]), (inputs[10:40], labels[10:40])]
-    cfg = FedConfig(n_clients=2, weighted=True)
-    trained = run_fedavg(model, parts, cfg, Rng(8).child("fed"))
-    u0 = client_update(model, *parts[0], 1, 0.1)
-    u1 = client_update(model, *parts[1], 1, 0.1)
-    expected = u0 * (10 / 40) + u1 * (30 / 40)
-    assert np.allclose(flatten(trained), expected)
 
 
 def test_run_fedavg_alternative_aggregator():

@@ -1,11 +1,15 @@
 """Scenario configs, report determinism, sweeps, and the CLI front end."""
 
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import fedmask
 from fedmask.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, main
 from fedmask.harness import (
     ConfigError,
@@ -81,6 +85,10 @@ def test_unknown_key_rejected_by_name():
         {"kind": "fed_training", "n": 5, "aggregator": "trimmed_mean", "aggregator_params": {"zeta": 0.7}},
         {"kind": "fed_training", "n": 5, "aggregator": "centered_clip", "aggregator_params": {"v0": [0.0]}},
         {"kind": "fed_training", "n": 2, "aggregator": "krum"},
+        {"kind": "fed_training", "aggregator": "krum", "aggregator_params": {"delta": math.nan}},
+        {"kind": "fed_training", "aggregator": "krum", "aggregator_params": {"delta": -0.5}},
+        {"kind": "fed_training", "aggregator": "centered_clip", "aggregator_params": {"tau": math.nan}},
+        {"kind": "fed_training", "aggregator": "geometric_median", "aggregator_params": {"tol": math.nan}},
     ],
 )
 def test_bad_config_rejected(data):
@@ -183,7 +191,16 @@ def test_pretrained_glyph_model_accurate_and_cached():
     model = pretrained_glyph_model()
     inputs, labels = glyph_eval_set()
     assert accuracy(model, inputs, labels) >= 0.95
-    assert pretrained_glyph_model() is model  # cached
+    assert pretrained_glyph_model() == model  # deterministic: same weights on every call
+
+
+def test_no_module_holds_a_functools_cache():
+    # a module-level cache would make a call's cost, and any state it keeps,
+    # depend on what ran earlier in the process
+    for info in pkgutil.iter_modules(fedmask.__path__):
+        module = importlib.import_module(f"fedmask.{info.name}")
+        cached = [name for name, value in vars(module).items() if hasattr(value, "cache_info")]
+        assert not cached, (info.name, cached)
 
 
 def test_masked_global_cell_alpha_zero_matches_baseline():
@@ -296,6 +313,15 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seeds": 5})
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
     assert "seeds:" in capsys.readouterr().err
+
+
+def test_cli_bad_aggregator_parameter_exit_code(tmp_path, capsys):
+    # JSON configs may spell NaN and Infinity; the rule's own range check
+    # turns them into a config error instead of a traceback mid-run
+    for params in ({"delta": math.nan}, {"delta": math.inf}):
+        data = {"kind": "fed_training", "n": 3, "aggregator": "krum", "aggregator_params": params}
+        assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert "aggregator_params: delta must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fedmask.models import (
     accuracy,
     backward,
     flatten,
-    forward,
     forward_batch,
     init_model,
     input_gradient,
@@ -91,7 +90,7 @@ def straight_line_forward(model, x):
 def test_forward_matches_straight_line_oracle(activation):
     model = init_model((4, 6, 3), activation, Rng(1).child(activation))
     x = Rng(2).child(activation).uniform(-2, 2, 4)
-    assert np.allclose(forward(model, x), straight_line_forward(model, x), atol=1e-12)
+    assert np.allclose(forward_batch(model, x[None, :])[0], straight_line_forward(model, x), atol=1e-12)
 
 
 def test_forward_batch_shape_and_consistency():
@@ -100,13 +99,13 @@ def test_forward_batch_shape_and_consistency():
     out = forward_batch(model, X)
     assert out.shape == (5, 2)
     for i in range(5):
-        assert np.allclose(out[i], forward(model, X[i]))
+        assert np.allclose(out[i], forward_batch(model, X[i][None, :])[0])
 
 
 def test_forward_dim_validation():
     model = init_model((3, 2), "identity", Rng(0))
     with pytest.raises(ParameterError):
-        forward(model, np.zeros(4))
+        forward_batch(model, np.zeros(4)[None, :])
     with pytest.raises(ParameterError):
         forward_batch(model, np.zeros((2, 4)))
 
@@ -345,13 +344,13 @@ def test_init_model_validation():
 
 def test_uniform_lm_length_three_is_six_bits():
     lm = BigramLM(vocab_size=4, logits=np.zeros((4, 4)))
-    assert abs(lm_log_perplexity(lm, [0, 1, 2]) - 6.0) < 1e-9
+    assert abs(lm_log_perplexity(lm.probs, [0, 1, 2]) - 6.0) < 1e-9
 
 
 def test_trained_lm_prefers_training_pattern():
     corpus = [[0, 1, 0, 1, 0, 1, 0, 1]] * 10  # "ababab..."
     lm = train_bigram(corpus, vocab_size=2)
-    assert lm_log_perplexity(lm, [0, 1, 0, 1]) < lm_log_perplexity(lm, [0, 0, 0, 0])
+    assert lm_log_perplexity(lm.probs, [0, 1, 0, 1]) < lm_log_perplexity(lm.probs, [0, 0, 0, 0])
 
 
 def test_trained_lm_matches_count_oracle():
@@ -370,8 +369,8 @@ def test_lp_additivity():
     lm = train_bigram([[0, 1, 2, 3, 0, 2]] * 4, vocab_size=4)
     s1 = [0, 1, 2]
     s2 = [3, 0]
-    joint = lm_log_perplexity(lm, s1 + s2)
-    split = lm_log_perplexity(lm, s1) + lm_log_perplexity(lm, s2, context=s1[-1])
+    joint = lm_log_perplexity(lm.probs, s1 + s2)
+    split = lm_log_perplexity(lm.probs, s1) + lm_log_perplexity(lm.probs, s2, context=s1[-1])
     assert abs(joint - split) < 1e-9
 
 
@@ -383,9 +382,9 @@ def test_lp_zero_probability_is_infinite():
 def test_lp_validation():
     lm = BigramLM(vocab_size=2, logits=np.zeros((2, 2)))
     with pytest.raises(ParameterError):
-        lm_log_perplexity(lm, [])
+        lm_log_perplexity(lm.probs, [])
     with pytest.raises(ParameterError):
-        lm_log_perplexity(lm, [0, 5])
+        lm_log_perplexity(lm.probs, [0, 5])
 
 
 def test_mask_bigram_zero_alpha_identity():
