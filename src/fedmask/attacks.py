@@ -5,8 +5,8 @@ of a bigram language model, each runnable with and without weight masking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,18 +41,15 @@ DLG_FAILURE_ALPHA = 0.2
 @dataclass(frozen=True)
 class DlgConfig:
     iterations: int = 2000
-    eta: float = 0.1
     seed: int = 0
-    fd_step: float = 1e-4  # central finite-difference step h
-    mse_threshold: float = 0.01
-    init_scale: float = 0.3  # dummy-data init std; keeps tanh units unsaturated
+    eta: ClassVar[float] = 0.1  # first step size of the backtracking search
+    fd_step: ClassVar[float] = 1e-4  # central finite-difference step h
+    mse_threshold: ClassVar[float] = 0.01
+    init_scale: ClassVar[float] = 0.3  # dummy-data init std; keeps tanh units unsaturated
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
-        for name in ("eta", "fd_step", "mse_threshold", "init_scale"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and > 0")
 
 
 @dataclass
@@ -146,24 +143,21 @@ def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgC
 # ---------------------------------------------------------------------------
 
 
-def mia_attack(
-    model: TinyModel,
-    label: int,
-    T: int = 200,
-    zeta: int = 10,
-    gamma: float = 0.0,
-    eta: float = 1.0,
-    clamp: tuple[float, float] = (0.0, 1.0),
-):
+MIA_PATIENCE = 10  # zeta: iterates without improvement before inversion stops
+MIA_COST_TARGET = 0.0  # gamma: a cost at or below this stops inversion
+
+
+def mia_attack(model: TinyModel, label: int, T: int = 200, eta: float = 1.0, clamp: tuple[float, float] = (0.0, 1.0)):
     """Gradient-descent inversion of a target class.
 
     Cost C(x) = 1 - softmax(model(x))[label]; descent from x0 = 0 with each
-    iterate clamped to the input range.  Stops when the cost has not improved
-    on the best of the last ``zeta`` iterates, or when cost <= gamma; returns
-    the argmin over all visited iterates and its cost.
+    iterate clamped to the input range, for at most T steps.  Stops early
+    when the cost is no better than the worst of the previous MIA_PATIENCE
+    iterates, or when it reaches MIA_COST_TARGET; returns the argmin over
+    all visited iterates and its cost.
     """
-    if T < 1 or zeta < 1:
-        raise ParameterError("T and zeta must be >= 1")
+    if T < 1:
+        raise ParameterError("T must be >= 1")
     if not (0 <= label < model.output_dim):
         raise ParameterError("label out of range")
     lo, hi = clamp
@@ -185,10 +179,10 @@ def mia_attack(
         c, g = cost_and_grad(x)
         costs.append(c)
         visited.append(x.copy())
-        if c <= gamma:
+        if c <= MIA_COST_TARGET:
             break
-        window = costs[max(0, t - zeta) : t]
-        if len(window) == zeta and c >= max(window):
+        window = costs[max(0, t - MIA_PATIENCE) : t]
+        if len(window) == MIA_PATIENCE and c >= max(window):
             break
     best = int(np.argmin(costs))
     return visited[best], costs[best]
@@ -218,12 +212,12 @@ class GanSchedule:
     epochs: int = 40
     steps_per_epoch: int = 150
     batch_size: int = 64
-    eta_d: float = 3.0
-    eta_g: float = 0.05
     alpha: float = 1.0  # weight mask half-width for the masked mode
-    d_clip: float = 3.0  # discriminator weights clipped to this box each update
-    pretrain_epochs: int = 5  # discriminator head start for the pretrained mode
-    pretrain_eta: float = 200.0  # oversized step drives the head start into saturation
+    eta_d: ClassVar[float] = 3.0
+    eta_g: ClassVar[float] = 0.05
+    d_clip: ClassVar[float] = 3.0  # discriminator weights clipped to this box each update
+    pretrain_epochs: ClassVar[int] = 5  # discriminator head start for the pretrained mode
+    pretrain_eta: ClassVar[float] = 200.0  # oversized step drives the head start into saturation
 
     def __post_init__(self):
         if self.epochs < 11:
@@ -231,11 +225,6 @@ class GanSchedule:
         for name in ("batch_size", "steps_per_epoch"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        if self.pretrain_epochs < 0:
-            raise ParameterError("pretrain_epochs must be >= 0")
-        for name in ("eta_d", "eta_g", "pretrain_eta", "d_clip"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and > 0")
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError("alpha must lie in [0, 1]")
 

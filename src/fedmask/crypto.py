@@ -13,8 +13,7 @@ broadcast to every client is checked once per round; it rejects a response
 too long for an honest signature before any exponentiation, so no peer
 chooses how far g's table grows.  Everything in the dict is a function of
 public values, every result is bit-identical to `pow`, and nothing is cached
-at module level.  Off the table path an exponentiation is one `pow` (or
-gmpy2 `powmod`) call.
+at module level.  Off the table path an exponentiation is one `pow` call.
 
 Shamir reconstruction uses every share it is given: it interpolates through
 the first k and rejects any further share off that polynomial.
@@ -35,10 +34,7 @@ import numpy as np
 
 from .numeric import FieldVector, MERSENNE61, ParameterError, Rng
 
-try:  # optional fast big-int backend
-    from gmpy2 import powmod as _powmod
-except ImportError:  # pragma: no cover - depends on environment
-    _powmod = pow
+_powmod = pow  # the exponentiation off the table path; perfbench records it
 
 # Prime used for Shamir sharing; identical to the mask field so mask seeds
 # and secret keys are shareable directly.
@@ -73,16 +69,15 @@ def modexp(base: int, exp: int, modulus: int, tables: dict | None = None) -> int
 
     Given a tables dict and a modulus above 64 bits, it is evaluated from the
     powers of base kept there, built or extended as needed (`_table_pow`).
-    Otherwise it is one call of gmpy2's powmod when installed, or of the
-    builtin `pow`, whose square-and-multiply beats a table evaluated in
-    Python at small moduli.  A non-int base or exponent raises TypeError, as
-    `pow` does."""
+    Otherwise it is one call of the builtin `pow`, whose square-and-multiply
+    beats a table evaluated in Python at small moduli.  A non-int base or
+    exponent raises TypeError, as `pow` does."""
     if modulus < 2:
         raise ParameterError("modulus must be >= 2")
     if exp < 0:
         raise ParameterError("exponent must be >= 0")
     if tables is None or modulus.bit_length() <= 64:
-        return int(_powmod(base, exp, modulus))
+        return _powmod(base, exp, modulus)
     return _table_pow(tables, operator.index(base), operator.index(exp), modulus)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,21 +24,19 @@ from .numeric import ParameterError, Rng, uniform_mask
 class FedConfig:
     n_clients: int
     t_global: int = 1
-    t_local: int = 1
-    eta: float = 0.1
     alpha: float = 0.0
-    loss: str = "cross_entropy"
     aggregator: str = "mean"
     aggregator_params: dict = field(default_factory=dict)
+    t_local: ClassVar[int] = 1
+    eta: ClassVar[float] = 0.1
+    loss: ClassVar[str] = "cross_entropy"
 
     def __post_init__(self):
-        for name in ("n_clients", "t_global", "t_local"):
+        for name in ("n_clients", "t_global"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must lie in [0, 1]")
-        if not 0 < self.eta < math.inf:
-            raise ParameterError("eta must be finite and > 0")
         if self.aggregator not in aggregators.AGGREGATORS:
             raise ParameterError(f"unknown aggregator {self.aggregator!r}")
 
@@ -48,9 +47,9 @@ class DpConfig:
     clip_threshold: float  # gamma; math.inf disables clipping
     group_size: int  # h
     steps: int  # T
-    delta_target: float = 1e-5
-    eta: float = 0.1
-    loss: str = "cross_entropy"
+    delta_target: ClassVar[float] = 1e-5
+    eta: ClassVar[float] = 0.1
+    loss: ClassVar[str] = "cross_entropy"
 
     def __post_init__(self):
         # written so that NaN fails both checks; an infinite clip stays legal
@@ -63,10 +62,6 @@ class DpConfig:
                 raise ParameterError(f"{name} must be >= 1")
         if self.noise_scale > 0 and math.isinf(self.clip_threshold):
             raise ParameterError("noise requires a finite clip threshold")
-        if not 0.0 < self.delta_target < 1.0:
-            raise ParameterError("delta_target must lie in (0, 1)")
-        if not 0 < self.eta < math.inf:
-            raise ParameterError("eta must be finite and > 0")
 
 
 @dataclass

@@ -144,15 +144,14 @@ class ScenarioConfig:
             what, ok = _PARAM_TYPES[type(defaults[key])]
             if not ok(value):
                 raise ConfigError(f"aggregator_params: {key} must be {what}")
-        if self.kind == "fed_training":
-            # a dry call on n zero vectors runs the rule's own range checks;
-            # the vectors have the model's length when a v0 must match it
-            dim = GLYPH_PARAM_COUNT if "v0" in self.aggregator_params else 1
-            try:
-                aggregators.AGGREGATORS[self.aggregator]([np.zeros(dim)] * self.n, **self.aggregator_params)
-            except ParameterError as exc:
-                name = "aggregator_params" if self.aggregator_params else "aggregator"
-                raise ConfigError(f"{name}: {exc}") from exc
+        # a dry call on n zero vectors runs the rule's own range checks; the
+        # vectors have the model's length when a v0 must match it
+        dim = GLYPH_PARAM_COUNT if "v0" in self.aggregator_params else 1
+        try:
+            aggregators.AGGREGATORS[self.aggregator]([np.zeros(dim)] * self.n, **self.aggregator_params)
+        except ParameterError as exc:
+            name = "aggregator_params" if self.aggregator_params else "aggregator"
+            raise ConfigError(f"{name}: {exc}") from exc
         for cid, rnd in self.dropout_after.items():
             if not (_is_int(cid) and _is_int(rnd) and 0 <= cid < self.n and 0 <= rnd < secagg.ROUNDS):
                 raise ConfigError(f"dropout_after: bad entry {cid!r}: {rnd!r}")

@@ -308,13 +308,12 @@ def mask_bigram_probs(lm: BigramLM, alpha: float, rng: Rng) -> np.ndarray:
     return normed
 
 
-def lm_log_perplexity(table: np.ndarray, tokens, context: int | None = None) -> float:
+def lm_log_perplexity(table: np.ndarray, tokens) -> float:
     """Sum of -log2 transition probabilities, in bits.
 
     ``table`` is a (V, V) row-stochastic transition table, such as a
     BigramLM's ``probs`` or a masked table.  The first token is scored
-    against a uniform prior over the vocabulary, or against the row of
-    ``context`` when a boundary context is given.  A zero-probability
+    against a uniform prior over the vocabulary.  A zero-probability
     transition yields +inf.
     """
     table = np.asarray(table, dtype=np.float64)
@@ -324,13 +323,8 @@ def lm_log_perplexity(table: np.ndarray, tokens, context: int | None = None) -> 
         raise ParameterError("token sequence must be nonempty")
     if any(not (0 <= t < V) for t in tokens):
         raise ParameterError("token id out of vocabulary")
-    if context is None:
-        total = float(np.log2(V))  # uniform prior for the first token
-        chain = tokens
-    else:
-        total = 0.0
-        chain = [context] + tokens
-    for prev, nxt in zip(chain[:-1], chain[1:]):
+    total = float(np.log2(V))  # uniform prior for the first token
+    for prev, nxt in zip(tokens[:-1], tokens[1:]):
         p = table[prev, nxt]
         if p <= 0.0:
             return float("inf")

@@ -40,13 +40,8 @@ def test_fed_config_validation():
         FedConfig(n_clients=0)
     with pytest.raises(ParameterError):
         FedConfig(n_clients=2, alpha=1.5)
-    with pytest.raises(ParameterError):
-        FedConfig(n_clients=2, eta=0.0)
     for bad in (
-        {"eta": math.nan},
-        {"eta": math.inf},
         {"t_global": 0},
-        {"t_local": 0},
         {"aggregator": "bogus"},
     ):
         with pytest.raises(ParameterError):
@@ -66,11 +61,6 @@ def test_dp_config_validation():
         # noise without a finite clip has unbounded sensitivity
         DpConfig(noise_scale=1.0, clip_threshold=math.inf, group_size=1, steps=1)
     for bad in (
-        {"eta": -1.0},
-        {"eta": math.nan},
-        {"eta": math.inf},
-        {"delta_target": 0.0},
-        {"delta_target": 2.0},
         {"noise_scale": math.nan},
         {"clip_threshold": math.nan},
     ):
@@ -132,7 +122,7 @@ def test_masked_update_mask_bounded():
 def test_run_fedavg_unmasked_matches_manual_loop():
     model, inputs, labels = glyph_setup(seed=4)
     parts = partition(inputs, labels, 3, Rng(4).child("part"))
-    cfg = FedConfig(n_clients=3, t_global=2, t_local=1, eta=0.1)
+    cfg = FedConfig(n_clients=3, t_global=2)
     trained = run_fedavg(model, parts, cfg, Rng(4).child("fed"))
     # manual oracle
     current = model

@@ -89,6 +89,7 @@ def test_unknown_key_rejected_by_name():
         {"kind": "fed_training", "aggregator": "krum", "aggregator_params": {"delta": -0.5}},
         {"kind": "fed_training", "aggregator": "centered_clip", "aggregator_params": {"tau": math.nan}},
         {"kind": "fed_training", "aggregator": "geometric_median", "aggregator_params": {"tol": math.nan}},
+        {"aggregator": "krum", "aggregator_params": {"delta": math.nan}},
     ],
 )
 def test_bad_config_rejected(data):

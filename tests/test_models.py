@@ -370,7 +370,10 @@ def test_lp_additivity():
     s1 = [0, 1, 2]
     s2 = [3, 0]
     joint = lm_log_perplexity(lm.probs, s1 + s2)
-    split = lm_log_perplexity(lm.probs, s1) + lm_log_perplexity(lm.probs, s2, context=s1[-1])
+    # s2 alone scores its first token against the uniform prior; the joint
+    # sequence scores it by the transition out of s1's last token instead
+    boundary = np.log2(lm.probs[s1[-1], s2[0]])
+    split = lm_log_perplexity(lm.probs, s1) + lm_log_perplexity(lm.probs, s2) - np.log2(4) - boundary
     assert abs(joint - split) < 1e-9
 
 
