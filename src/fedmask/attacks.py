@@ -17,11 +17,13 @@ from .models import (
     backward,
     flatten,
     forward_batch,
+    forward_trace,
     input_gradient,
     lm_log_perplexity,
     mask_bigram_probs,
     per_example_backward,
     softmax,
+    trace_gradient,
     unflatten,
 )
 from .numeric import ParameterError, Rng, uniform_mask
@@ -93,6 +95,8 @@ def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgC
     """
     din, dout = model.input_dim, model.output_dim
     known_grad = np.asarray(known_grad, dtype=np.float64)
+    if known_grad.shape != (model.param_count,):
+        raise ParameterError(f"known_grad must be a vector of {model.param_count} values, got shape {known_grad.shape}")
     rng = Rng(cfg.seed).child("dlg-init")
     v = rng.normal(0.0, cfg.init_scale, din + dout)
 
@@ -161,6 +165,8 @@ def mia_attack(model: TinyModel, label: int, T: int = 200, eta: float = 1.0, cla
     if not (0 <= label < model.output_dim):
         raise ParameterError("label out of range")
     lo, hi = clamp
+    if not lo <= hi:
+        raise ParameterError("clamp must be (lo, hi) with lo <= hi")
     x = np.zeros(model.input_dim)
     labels = np.array([label])
 
@@ -243,12 +249,11 @@ def _gen_noise(rng: Rng, n: int, dim: int) -> np.ndarray:
     return rng.normal(0.0, 1.0, n * dim).reshape(n, dim)
 
 
-def _d_step(d: TinyModel, real: np.ndarray, fake: np.ndarray, eta: float, clip: float) -> TinyModel:
-    """One discriminator update, real examples toward 1 and fake toward 0,
-    with the weights clipped to [-clip, clip] afterwards."""
-    x = np.vstack([real, fake])
-    y = np.vstack([np.ones((real.shape[0], 1)), np.zeros((fake.shape[0], 1))])
-    _, grad = backward(d, Batch(inputs=x, labels=y), "mse")
+def _d_step(d: TinyModel, real: np.ndarray, fake: np.ndarray, labels: np.ndarray, eta: float, clip: float) -> TinyModel:
+    """One discriminator update, real examples toward 1 and fake toward 0
+    (``labels`` holds those targets, real rows first), with the weights
+    clipped to [-clip, clip] afterwards."""
+    _, grad = backward(d, Batch(inputs=np.vstack([real, fake]), labels=labels), "mse")
     return unflatten(d, np.clip(flatten(d) - eta * grad, -clip, clip))
 
 
@@ -257,14 +262,15 @@ def _g_loss(d: TinyModel, fake: np.ndarray) -> float:
     return 0.5 * float(np.mean((score - 1.0) ** 2))
 
 
-def _g_step(g: TinyModel, d_for_signal: TinyModel, z: np.ndarray, fake: np.ndarray, eta: float) -> TinyModel:
-    """One generator update pushing d(G(z)) toward the real label; fake is G(z)."""
-    y_goal = np.ones((fake.shape[0], 1))
+def _g_step(g: TinyModel, d_for_signal: TinyModel, g_trace, goal: np.ndarray, eta: float) -> TinyModel:
+    """One generator update pushing d(G(z)) toward ``goal``, the real label;
+    ``g_trace`` is the forward trace of G(z)."""
+    fake = g_trace[1][-1]
     # upstream gradient through the discriminator at the generated points
-    _, up = input_gradient(d_for_signal, Batch(inputs=fake, labels=y_goal), "mse")
+    _, up = input_gradient(d_for_signal, Batch(inputs=fake, labels=goal), "mse")
     # surrogate targets make the generator's own backprop consume `up`
     targets = fake - fake.shape[0] * up
-    _, grad = backward(g, Batch(inputs=z, labels=targets), "mse")
+    _, grad = trace_gradient(g, g_trace, targets, "mse")
     return unflatten(g, flatten(g) - eta * grad)
 
 
@@ -295,17 +301,24 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
     rng = Rng(seed).child("gan", mode)
     g, d = pair.generator, pair.discriminator
     real_data = np.asarray(real_data, dtype=np.float64)
+    if real_data.ndim != 2 or real_data.shape[0] < 1 or real_data.shape[1] != d.input_dim:
+        raise ParameterError(f"real_data must be a nonempty (n, {d.input_dim}) array, got shape {real_data.shape}")
+    if not np.all(np.isfinite(real_data)):
+        raise ParameterError("real_data contains non-finite values")
     n_real = real_data.shape[0]
     zdim = g.input_dim
     B = schedule.batch_size
+    n_batch = min(B, n_real)
+    d_labels = np.vstack([np.ones((n_batch, 1)), np.zeros((B, 1))])
+    g_goal = np.ones((B, 1))
 
     frozen = False
     if mode == "pretrained":
         pre_rng = rng.child("pretrain")
         for _ in range(schedule.pretrain_epochs * schedule.steps_per_epoch):
-            idx = pre_rng.choice(n_real, min(B, n_real), replace=True)
+            idx = pre_rng.choice(n_real, n_batch, replace=True)
             fake = forward_batch(g, _gen_noise(pre_rng, B, zdim))
-            d = _d_step(d, real_data[idx], fake, schedule.pretrain_eta, schedule.d_clip)
+            d = _d_step(d, real_data[idx], fake, d_labels, schedule.pretrain_eta, schedule.d_clip)
         frozen = True
 
     trace = []
@@ -324,14 +337,14 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
         trace.append(loss)
         for step in range(schedule.steps_per_epoch):
             srng = rng.child("step", epoch, step)
-            idx = srng.choice(n_real, min(B, n_real), replace=True)
-            z = _gen_noise(srng, B, zdim)
-            fake = forward_batch(g, z)
+            idx = srng.choice(n_real, n_batch, replace=True)
+            g_trace = forward_trace(g, _gen_noise(srng, B, zdim))
+            fake = g_trace[1][-1]
             if not frozen:
-                d = _d_step(d, real_data[idx], fake, schedule.eta_d, schedule.d_clip)
+                d = _d_step(d, real_data[idx], fake, d_labels, schedule.eta_d, schedule.d_clip)
                 if mode != "masked":
                     signal_d = d
-            g = _g_step(g, signal_d, z, fake, schedule.eta_g)
+            g = _g_step(g, signal_d, g_trace, g_goal, schedule.eta_g)
 
     samples = forward_batch(g, _gen_noise(rng.child("eval"), 500, zdim))
     initial = float(np.mean(trace[:10])) if len(trace) >= 10 else float("inf")

@@ -145,7 +145,7 @@ class Batch:
 
 
 def forward_batch(model: TinyModel, X: np.ndarray) -> np.ndarray:
-    return _forward_trace(model, X)[1][-1]
+    return forward_trace(model, X)[1][-1]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -154,8 +154,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _forward_trace(model: TinyModel, X: np.ndarray):
-    """Pre-activations and activations (inputs first) of every layer."""
+def forward_trace(model: TinyModel, X: np.ndarray):
+    """Pre-activations and activations (inputs first) of every layer: the
+    ``(pre, acts)`` pair that ``trace_gradient`` differentiates, and whose
+    ``acts[-1]`` is the model's output."""
     a = np.asarray(X, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != model.input_dim:
         raise ParameterError("inputs must be (B, din) matching the model")
@@ -179,8 +181,8 @@ def _loss_head(out: np.ndarray, labels, loss: str):
         return 0.5 * float(np.sum(resid * resid)), resid
     if loss == "cross_entropy":
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1:
-            raise ParameterError("cross_entropy labels must be class indices")
+        if labels.shape != out.shape[:1]:
+            raise ParameterError("cross_entropy labels must be one class index per output row")
         probs = softmax(out)
         rows = np.arange(out.shape[0])
         picked = probs[rows, labels]
@@ -199,16 +201,23 @@ def _deltas(model: TinyModel, pre, acts, dout: np.ndarray) -> list[np.ndarray]:
     return deltas[::-1]
 
 
-def _backward_full(model: TinyModel, batch: Batch, loss: str):
-    """Loss, flat parameter gradient, and input gradient for a batch."""
-    pre, acts = _forward_trace(model, batch.inputs)
-    loss_sum, dout = _loss_head(acts[-1], batch.labels, loss)
-    deltas = _deltas(model, pre, acts, dout / batch.size)
+def _averaged_deltas(model: TinyModel, trace, labels, loss: str):
+    """Batch-averaged loss and each layer's delta of it, from a trace."""
+    pre, acts = trace
+    size = acts[0].shape[0]
+    loss_sum, dout = _loss_head(acts[-1], labels, loss)
+    return loss_sum / size, _deltas(model, pre, acts, dout / size)
+
+
+def trace_gradient(model: TinyModel, trace, labels, loss: str):
+    """Batch-averaged loss and its gradient over the flattened parameters,
+    from a ``forward_trace`` of the batch inputs."""
+    loss_value, deltas = _averaged_deltas(model, trace, labels, loss)
     grad = np.empty(model.param_count)
-    for a, delta, (grad_w, grad_b) in zip(acts, deltas, _layers(model.sizes, grad)):
+    for a, delta, (grad_w, grad_b) in zip(trace[1], deltas, _layers(model.sizes, grad)):
         np.matmul(a.T, delta, out=grad_w)
         np.sum(delta, axis=0, out=grad_b)
-    return loss_sum / batch.size, grad, deltas[0] @ model.layers[0][0].T
+    return loss_value, grad
 
 
 def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.ndarray:
@@ -223,7 +232,7 @@ def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.nd
     ``backward`` bit for bit; for larger B the batched matmuls may round the
     backpropagated deltas differently in the last bits.
     """
-    pre, acts = _forward_trace(model, X)
+    pre, acts = forward_trace(model, X)
     _, dout = _loss_head(acts[-1], Y, loss)
     grads = np.empty((acts[0].shape[0], model.param_count))
     for a, delta, (grad_w, grad_b) in zip(acts, _deltas(model, pre, acts, dout), _layers(model.sizes, grads)):
@@ -234,14 +243,14 @@ def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.nd
 
 def backward(model: TinyModel, batch: Batch, loss: str = "mse"):
     """Batch-averaged loss and its gradient over the flattened parameters."""
-    loss_value, grad, _ = _backward_full(model, batch, loss)
-    return loss_value, grad
+    return trace_gradient(model, forward_trace(model, batch.inputs), batch.labels, loss)
 
 
 def input_gradient(model: TinyModel, batch: Batch, loss: str = "mse"):
-    """Loss gradient with respect to the inputs (used by inversion attacks)."""
-    loss_value, _, grad_x = _backward_full(model, batch, loss)
-    return loss_value, grad_x
+    """Batch-averaged loss and its gradient with respect to the inputs (used
+    by inversion attacks); no parameter gradient is formed."""
+    loss_value, deltas = _averaged_deltas(model, forward_trace(model, batch.inputs), batch.labels, loss)
+    return loss_value, deltas[0] @ model.layers[0][0].T
 
 
 def sgd_step(model: TinyModel, batch: Batch, eta: float, loss: str = "mse") -> TinyModel:

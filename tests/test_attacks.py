@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedmask import attacks, models
 from fedmask.attacks import (
     DlgConfig,
     GAN_MODES,
@@ -132,6 +133,20 @@ def test_dlg_config_validation():
         DlgConfig(iterations=0)
 
 
+def test_dlg_attack_known_grad_shape_checked():
+    model = init_model((6, 4, 3), "tanh", Rng(0).child("m"))
+    truth = Batch(inputs=np.zeros((1, 6)), labels=np.zeros((1, 3)))
+    cfg = DlgConfig(iterations=5)
+    for bad in (np.zeros(model.param_count - 1), np.zeros((1, model.param_count))):
+        with pytest.raises(ParameterError, match="known_grad"):
+            dlg_attack(model, bad, truth, cfg)
+    # a vector of the right shape is taken as given: a NaN entry ends the
+    # attack at its first objective rather than being rejected up front
+    report = dlg_attack(model, np.full(model.param_count, np.nan), truth, cfg)
+    assert report.aborted == "non-finite objective"
+    assert not report.success
+
+
 @pytest.mark.parametrize(
     "config, required, fields, constants",
     [
@@ -202,6 +217,8 @@ def test_mia_validation():
         mia_attack(model, label=5)
     with pytest.raises(ParameterError):
         mia_attack(model, label=0, T=0)
+    with pytest.raises(ParameterError, match="clamp"):
+        mia_attack(model, label=0, clamp=(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +280,46 @@ def test_gan_attack_unknown_mode():
     data, _ = make_gaussian_mixture(64, Rng(0).child("real"))
     with pytest.raises(ParameterError):
         gan_attack(pair, data, small_schedule(), mode="frozen")
+
+
+@pytest.mark.parametrize(
+    "real",
+    [
+        np.zeros((64, 3)),  # wrong width for the discriminator
+        np.zeros(64),
+        np.zeros((0, 2)),  # no real example to train the discriminator on
+        np.array([[0.0, np.nan], [1.0, 0.0]]),
+        np.array([[0.0, np.inf], [1.0, 0.0]]),
+    ],
+)
+def test_gan_attack_rejects_malformed_real_data(real):
+    with pytest.raises(ParameterError, match="real_data"):
+        gan_attack(default_gan_pair(0), real, small_schedule())
+
+
+@pytest.mark.parametrize("mode", GAN_MODES)
+def test_gan_attack_forward_trace_count(monkeypatch, mode):
+    """Per step one trace of G(z), which the discriminator update and the
+    generator's own gradient share, one of D for its update (unless frozen)
+    and one of the signal D for the generator's upstream gradient; per epoch
+    one probe of G and one of D for the recorded loss; one final sample of
+    G.  A pretrained head start adds a trace of G and one of D per step."""
+    calls = []
+    traced = models.forward_trace
+
+    def counting(model, X):
+        calls.append(model.sizes)
+        return traced(model, X)
+
+    monkeypatch.setattr(models, "forward_trace", counting)
+    monkeypatch.setattr(attacks, "forward_trace", counting)
+    schedule = GanSchedule(epochs=11, steps_per_epoch=3)
+    real, _ = make_gaussian_mixture(128, Rng(0).child("real"))
+    gan_attack(default_gan_pair(0), real, schedule, mode=mode)
+    E, S = schedule.epochs, schedule.steps_per_epoch
+    P = schedule.pretrain_epochs * S
+    expected = 2 * P + 2 * E * S + 2 * E + 1 if mode == "pretrained" else 3 * E * S + 2 * E + 1
+    assert len(calls) == expected == (119 if mode == "pretrained" else 122)
 
 
 def test_gan_and_model_inversion_known_answer():

@@ -20,9 +20,11 @@ from fedmask.models import (
     input_gradient,
     lm_log_perplexity,
     mask_bigram_probs,
+    forward_trace,
     per_example_backward,
     sgd_step,
     softmax,
+    trace_gradient,
     train_bigram,
     unflatten,
 )
@@ -72,17 +74,27 @@ def random_batch(model, loss, rng):
 # ---------------------------------------------------------------------------
 
 
+# Independent copies of the activations and of their derivatives, in terms
+# of the output a and the pre-activation z, for the reference passes below.
+ORACLE_ACT = {
+    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
+    "relu": lambda z: np.maximum(z, 0.0),
+    "tanh": np.tanh,
+    "identity": lambda z: z,
+}
+ORACLE_DERIV = {
+    "sigmoid": lambda a, z: a * (1.0 - a),
+    "relu": lambda a, z: (z > 0.0).astype(np.float64),
+    "tanh": lambda a, z: 1.0 - a * a,
+    "identity": lambda a, z: np.ones_like(z),
+}
+
+
 def straight_line_forward(model, x):
     """Independent reimplementation of the forward pass."""
-    acts = {
-        "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-        "relu": lambda z: np.maximum(z, 0.0),
-        "tanh": np.tanh,
-        "identity": lambda z: z,
-    }
     a = np.asarray(x, dtype=float)
     for w, b in model.layers:
-        a = acts[model.activation](a @ w + b)
+        a = ORACLE_ACT[model.activation](a @ w + b)
     return a
 
 
@@ -246,6 +258,15 @@ def test_unknown_loss_rejected():
         per_example_backward(model, batch.inputs, batch.labels, "hinge")
 
 
+def test_cross_entropy_label_count_checked():
+    model = init_model((2, 3), "tanh", Rng(0))
+    x = np.zeros((3, 2))
+    with pytest.raises(ParameterError, match="one class index per output row"):
+        trace_gradient(model, forward_trace(model, x), np.array([0, 1]), "cross_entropy")
+    with pytest.raises(ParameterError, match="one class index per output row"):
+        per_example_backward(model, x, np.array([0, 1, 2, 0]), "cross_entropy")
+
+
 def per_example_case(seed, activation, loss, sizes, B):
     model = init_model(sizes, activation, Rng(seed).child("model"))
     rng = Rng(seed).child("batch")
@@ -281,6 +302,65 @@ def test_per_example_backward_single_row_is_backward_bit_for_bit(activation, los
     (row,) = per_example_backward(model, x, y, loss)
     _, want = backward(model, Batch(inputs=x, labels=y), loss)
     assert np.array_equal(row, want)
+
+
+def reference_backward_full(model, batch, loss):
+    """Batch-averaged loss, flat parameter gradient and input gradient from
+    one forward trace and one full backward pass.  This is the routine that
+    `backward` and `input_gradient` both called, each keeping one of the two
+    gradients, before `trace_gradient` took its place; its helpers are
+    written out so the split is checked against the old arithmetic."""
+    act, deriv = ORACLE_ACT[model.activation], ORACLE_DERIV[model.activation]
+    pre, acts = [], [batch.inputs]
+    for w, b in model.layers:
+        pre.append(acts[-1] @ w + b)
+        acts.append(act(pre[-1]))
+    out = acts[-1]
+    if loss == "mse":
+        resid = out - np.asarray(batch.labels, dtype=np.float64)
+        loss_sum, dout = 0.5 * float(np.sum(resid * resid)), resid
+    else:
+        labels = np.asarray(batch.labels, dtype=np.int64)
+        probs = softmax(out)
+        rows = np.arange(out.shape[0])
+        picked = probs[rows, labels]
+        probs[rows, labels] -= 1.0
+        loss_sum, dout = -float(np.sum(np.log(np.maximum(picked, 1e-300)))), probs
+    layers = model.layers
+    deltas = [dout / batch.size * deriv(acts[-1], pre[-1])]
+    for layer in range(len(layers) - 1, 0, -1):
+        deltas.append((deltas[-1] @ layers[layer][0].T) * deriv(acts[layer], pre[layer - 1]))
+    deltas = deltas[::-1]
+    grad = np.empty(model.param_count)
+    pos = 0
+    for a, delta in zip(acts, deltas):
+        fan_in, fan_out = a.shape[1], delta.shape[1]
+        grad_w = grad[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        np.matmul(a.T, delta, out=grad_w)
+        pos += fan_in * fan_out
+        np.sum(delta, axis=0, out=grad[pos : pos + fan_out])
+        pos += fan_out
+    return loss_sum / batch.size, grad, deltas[0] @ layers[0][0].T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(ACTIVATIONS),
+    loss=st.sampled_from(["mse", "cross_entropy"]),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    B=st.integers(1, 40),
+)
+def test_property_gradients_match_full_backward_bit_for_bit(seed, activation, loss, sizes, B):
+    model, x, y = per_example_case(seed, activation, loss, tuple(sizes), B)
+    batch = Batch(inputs=x, labels=y)
+    want_loss, want_grad, want_grad_x = reference_backward_full(model, batch, loss)
+    for got_loss, got_grad in (backward(model, batch, loss), trace_gradient(model, forward_trace(model, x), y, loss)):
+        assert got_loss == want_loss
+        assert np.array_equal(got_grad, want_grad)
+    got_loss, got_grad_x = input_gradient(model, batch, loss)
+    assert got_loss == want_loss
+    assert np.array_equal(got_grad_x, want_grad_x)
 
 
 # ---------------------------------------------------------------------------
