@@ -9,6 +9,7 @@ import pytest
 
 from fedmask import attacks, models
 from fedmask.attacks import (
+    DLG_FAILURE_ALPHA,
     DlgConfig,
     GAN_MODES,
     GanPair,
@@ -25,8 +26,8 @@ from fedmask.attacks import (
 )
 from fedmask.data import make_gaussian_mixture, make_glyphs, make_token_corpus, mixture_means
 from fedmask.fedcore import DpConfig, FedConfig
-from fedmask.models import Batch, TinyModel, backward, init_model, train_bigram
-from fedmask.numeric import ParameterError, Rng
+from fedmask.models import Batch, TinyModel, backward, flatten, init_model, train_bigram, unflatten
+from fedmask.numeric import ParameterError, Rng, uniform_mask
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +114,30 @@ def test_batched_fd_gradient_matches_probe_loop():
         want = loop_fd_gradient(objective, v, cfg.fd_step)
         got = _batched_fd_gradient(model, known, v, cfg.fd_step)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_dlg_known_answer():
+    """Criterion 06's setup (64-8-4 tanh model, one glyph) at seeds 0-2,
+    unmasked and at the failure alpha, 200 iterations each: pins the
+    objective traces and the recovered pairs.  The digest was computed before
+    the per-example kernel was rewritten."""
+    h = hashlib.sha256()
+    for seed in range(3):
+        model = init_model((64, 8, 4), "tanh", Rng(seed).child("model"))
+        inputs, _ = make_glyphs(1, Rng(seed).child("data"))
+        y = Rng(seed).child("y").uniform(-1.0, 1.0, 4)
+        truth = Batch(inputs=inputs[:1], labels=y[None, :])
+        _, known = backward(model, truth, "mse")
+        for alpha in (0.0, DLG_FAILURE_ALPHA):
+            attacked = model
+            if alpha > 0:
+                w = flatten(model)
+                attacked = unflatten(model, w + uniform_mask(w.shape[0], alpha, Rng(seed).child("mask")))
+            report = dlg_attack(attacked, known, truth, DlgConfig(seed=seed, iterations=200))
+            h.update(np.asarray(report.trace, dtype=np.float64).tobytes())
+            h.update(report.recovered_x.tobytes())
+            h.update(report.recovered_y.tobytes())
+    assert h.hexdigest()[:16] == "14fe3ca577e843d2"
 
 
 def test_dlg_recovers_single_example_small_model():
