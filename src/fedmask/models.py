@@ -228,15 +228,18 @@ def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.nd
     Computations", arXiv:1510.01799): a layer's weight gradient for one
     example is the outer product of its input activation and its delta, so
     the (B, ...) deltas are backpropagated once and each example's outer
-    products are written straight into its row.  For B = 1 the row equals
-    ``backward`` bit for bit; for larger B the batched matmuls may round the
+    products are written straight into its row by one einsum, which runs
+    faster than a broadcast multiply's fan_out-long inner loops.  Each
+    product is the same float multiply, added to a zeroed row, so a product
+    of -0.0 reads +0.0.  For B = 1 the row equals ``backward`` under
+    np.array_equal; for larger B the batched matmuls may round the
     backpropagated deltas differently in the last bits.
     """
     pre, acts = forward_trace(model, X)
     _, dout = _loss_head(acts[-1], Y, loss)
     grads = np.empty((acts[0].shape[0], model.param_count))
     for a, delta, (grad_w, grad_b) in zip(acts, _deltas(model, pre, acts, dout), _layers(model.sizes, grads)):
-        np.multiply(a[:, :, None], delta[:, None, :], out=grad_w)
+        np.einsum("bi,bj->bij", a, delta, out=grad_w)
         grad_b[...] = delta
     return grads
 

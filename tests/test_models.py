@@ -304,33 +304,41 @@ def test_per_example_backward_single_row_is_backward_bit_for_bit(activation, los
     assert np.array_equal(row, want)
 
 
-def reference_backward_full(model, batch, loss):
-    """Batch-averaged loss, flat parameter gradient and input gradient from
-    one forward trace and one full backward pass.  This is the routine that
-    `backward` and `input_gradient` both called, each keeping one of the two
-    gradients, before `trace_gradient` took its place; its helpers are
-    written out so the split is checked against the old arithmetic."""
+def reference_trace_and_deltas(model, inputs, labels, loss, divisor):
+    """Summed loss, activations (inputs first) and each layer's delta, first
+    layer first, backpropagated from the output deltas divided by
+    ``divisor``; the forward pass and loss head are written out."""
     act, deriv = ORACLE_ACT[model.activation], ORACLE_DERIV[model.activation]
-    pre, acts = [], [batch.inputs]
+    pre, acts = [], [inputs]
     for w, b in model.layers:
         pre.append(acts[-1] @ w + b)
         acts.append(act(pre[-1]))
     out = acts[-1]
     if loss == "mse":
-        resid = out - np.asarray(batch.labels, dtype=np.float64)
+        resid = out - np.asarray(labels, dtype=np.float64)
         loss_sum, dout = 0.5 * float(np.sum(resid * resid)), resid
     else:
-        labels = np.asarray(batch.labels, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
         probs = softmax(out)
         rows = np.arange(out.shape[0])
         picked = probs[rows, labels]
         probs[rows, labels] -= 1.0
         loss_sum, dout = -float(np.sum(np.log(np.maximum(picked, 1e-300)))), probs
     layers = model.layers
-    deltas = [dout / batch.size * deriv(acts[-1], pre[-1])]
+    deltas = [dout / divisor * deriv(acts[-1], pre[-1])]
     for layer in range(len(layers) - 1, 0, -1):
         deltas.append((deltas[-1] @ layers[layer][0].T) * deriv(acts[layer], pre[layer - 1]))
-    deltas = deltas[::-1]
+    return loss_sum, acts, deltas[::-1]
+
+
+def reference_backward_full(model, batch, loss):
+    """Batch-averaged loss, flat parameter gradient and input gradient from
+    one forward trace and one full backward pass.  This is the routine that
+    `backward` and `input_gradient` both called, each keeping one of the two
+    gradients, before `trace_gradient` took its place; its helpers are
+    written out so the split is checked against the old arithmetic."""
+    loss_sum, acts, deltas = reference_trace_and_deltas(model, batch.inputs, batch.labels, loss, batch.size)
+    layers = model.layers
     grad = np.empty(model.param_count)
     pos = 0
     for a, delta in zip(acts, deltas):
@@ -361,6 +369,40 @@ def test_property_gradients_match_full_backward_bit_for_bit(seed, activation, lo
     got_loss, got_grad_x = input_gradient(model, batch, loss)
     assert got_loss == want_loss
     assert np.array_equal(got_grad_x, want_grad_x)
+
+
+def reference_per_example_backward(model, x, y, loss):
+    """Per-example gradient rows with each layer's outer products written by
+    a broadcast multiply, as `per_example_backward` wrote them before its
+    einsum."""
+    _, acts, deltas = reference_trace_and_deltas(model, x, y, loss, 1)
+    rows = []
+    for a, delta in zip(acts, deltas):
+        rows += [np.multiply(a[:, :, None], delta[:, None, :]).reshape(a.shape[0], -1), delta]
+    return np.concatenate(rows, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(ACTIVATIONS),
+    loss=st.sampled_from(["mse", "cross_entropy"]),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    B=st.integers(1, 40),
+)
+def test_property_per_example_backward_matches_broadcast_multiply(seed, activation, loss, sizes, B):
+    """Equal to the broadcast-multiply reference under np.array_equal, which
+    counts -0.0 and +0.0 equal: einsum writes a -0.0 product (relu's exact
+    zeros) as +0.0."""
+    model, x, y = per_example_case(seed, activation, loss, tuple(sizes), B)
+    assert np.array_equal(per_example_backward(model, x, y, loss), reference_per_example_backward(model, x, y, loss))
+
+
+def test_per_example_backward_relu_signed_zeros_compare_equal():
+    model, x, y = per_example_case(3, "relu", "mse", (5, 4, 3, 3), 8)
+    want = reference_per_example_backward(model, x, y, "mse")
+    assert np.any((want == 0.0) & np.signbit(want))  # the reference holds -0.0 products
+    assert np.array_equal(per_example_backward(model, x, y, "mse"), want)
 
 
 # ---------------------------------------------------------------------------
