@@ -171,9 +171,9 @@ def mia_attack(model: TinyModel, label: int, T: int = 200, eta: float = 1.0, cla
     labels = np.array([label])
 
     def cost_and_grad(xv):
-        batch = Batch(inputs=xv[None, :], labels=labels)
-        probs = softmax(forward_batch(model, xv[None, :])[0])
-        _, gx = input_gradient(model, batch, "cross_entropy")
+        trace = forward_trace(model, xv[None, :])
+        probs = softmax(trace[1][-1][0])
+        _, gx = input_gradient(model, trace, labels, "cross_entropy")
         # C = 1 - p_label and L_ce = -log p_label, so dC/dx = p_label * dL/dx
         return 1.0 - float(probs[label]), float(probs[label]) * gx[0]
 
@@ -267,7 +267,7 @@ def _g_step(g: TinyModel, d_for_signal: TinyModel, g_trace, goal: np.ndarray, et
     ``g_trace`` is the forward trace of G(z)."""
     fake = g_trace[1][-1]
     # upstream gradient through the discriminator at the generated points
-    _, up = input_gradient(d_for_signal, Batch(inputs=fake, labels=goal), "mse")
+    _, up = input_gradient(d_for_signal, forward_trace(d_for_signal, fake), goal, "mse")
     # surrogate targets make the generator's own backprop consume `up`
     targets = fake - fake.shape[0] * up
     _, grad = trace_gradient(g, g_trace, targets, "mse")

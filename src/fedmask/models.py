@@ -249,10 +249,11 @@ def backward(model: TinyModel, batch: Batch, loss: str = "mse"):
     return trace_gradient(model, forward_trace(model, batch.inputs), batch.labels, loss)
 
 
-def input_gradient(model: TinyModel, batch: Batch, loss: str = "mse"):
-    """Batch-averaged loss and its gradient with respect to the inputs (used
-    by inversion attacks); no parameter gradient is formed."""
-    loss_value, deltas = _averaged_deltas(model, forward_trace(model, batch.inputs), batch.labels, loss)
+def input_gradient(model: TinyModel, trace, labels, loss: str):
+    """Batch-averaged loss and its gradient with respect to the inputs, from
+    a ``forward_trace`` of the batch inputs (used by inversion attacks); no
+    parameter gradient is formed."""
+    loss_value, deltas = _averaged_deltas(model, trace, labels, loss)
     return loss_value, deltas[0] @ model.layers[0][0].T
 
 

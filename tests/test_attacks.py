@@ -347,6 +347,22 @@ def test_gan_attack_forward_trace_count(monkeypatch, mode):
     assert len(calls) == expected == (119 if mode == "pretrained" else 122)
 
 
+def test_mia_attack_traces_once_per_cost_evaluation(monkeypatch):
+    """The cost's probabilities and its input gradient share one trace: T = 50
+    descent steps and the start point make 51 cost evaluations."""
+    calls = []
+    traced = models.forward_trace
+
+    def counting(model, X):
+        calls.append(model.sizes)
+        return traced(model, X)
+
+    monkeypatch.setattr(models, "forward_trace", counting)
+    monkeypatch.setattr(attacks, "forward_trace", counting)
+    mia_attack(init_model((64, 16, 10), "tanh", Rng(3).child("m")), 2, T=50)
+    assert len(calls) == 51
+
+
 def test_gan_and_model_inversion_known_answer():
     # pins the GAN loss traces and samples of every mode and one model
     # inversion result; the digest was computed before either loop was reworked

@@ -234,7 +234,7 @@ def test_gradient_random_coordinates_2layer():
 def test_input_gradient_matches_finite_differences():
     model = init_model((4, 5, 2), "sigmoid", Rng(14))
     batch = random_batch(model, "mse", Rng(15))
-    _, gx = input_gradient(model, batch, "mse")
+    _, gx = input_gradient(model, forward_trace(model, batch.inputs), batch.labels, "mse")
     h = 1e-5
     x = batch.inputs.copy()
     for b in range(x.shape[0]):
@@ -366,7 +366,7 @@ def test_property_gradients_match_full_backward_bit_for_bit(seed, activation, lo
     for got_loss, got_grad in (backward(model, batch, loss), trace_gradient(model, forward_trace(model, x), y, loss)):
         assert got_loss == want_loss
         assert np.array_equal(got_grad, want_grad)
-    got_loss, got_grad_x = input_gradient(model, batch, loss)
+    got_loss, got_grad_x = input_gradient(model, forward_trace(model, x), y, loss)
     assert got_loss == want_loss
     assert np.array_equal(got_grad_x, want_grad_x)
 
