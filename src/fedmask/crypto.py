@@ -1,19 +1,19 @@
 """Modular-arithmetic primitives for the aggregation protocol: Diffie-Hellman,
 Shamir threshold sharing, PRG mask expansion, and Schnorr signatures.
 
-Exponentiation takes an optional `tables` dict.  Given one and a modulus
-above 64 bits, `modexp` keeps in it, for each base b, the powers b, b^(2^w),
-b^(2^2w), ... and evaluates every exponent of b from them (the fixed-base
-method of Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92).  A
-secure-aggregation round holds one such dict for all its parties: each public
-key is raised to a fresh secret exponent by every other client, and g by
-every key generation, signature and signature check, so one table serves
-many calls.  `verify` also keeps its results in that dict, so a signature
-broadcast to every client is checked once per round; it rejects a response
-too long for an honest signature before any exponentiation, so no peer
-chooses how far g's table grows.  Everything in the dict is a function of
-public values, every result is bit-identical to `pow`, and nothing is cached
-at module level.  Off the table path an exponentiation is one `pow` call.
+Exponentiation takes a `tables` dict.  At a modulus above 64 bits, `modexp`
+keeps in it, for each base b, the powers b, b^(2^w), b^(2^2w), ... and
+evaluates every exponent of b from them (the fixed-base method of Brickell,
+Gordon, McCurley and Wilson, EUROCRYPT '92).  A secure-aggregation round
+holds one such dict for all its parties: each public key is raised to a fresh
+secret exponent by every other client, and g by every key generation,
+signature and signature check, so one table serves many calls.  `verify`
+also keeps its results in that dict, so a signature broadcast to every client
+is checked once per round; it rejects a response too long for an honest
+signature before any exponentiation, so no peer chooses how far g's table
+grows.  Everything in the dict is a function of public values, every result
+is bit-identical to `pow`, and nothing is cached at module level.  At a
+modulus of 64 bits or fewer an exponentiation is one `pow` call.
 
 Shamir reconstruction uses every share it is given: it interpolates through
 the first k and rejects any further share off that polynomial.
@@ -64,19 +64,19 @@ class ThresholdError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def modexp(base: int, exp: int, modulus: int, tables: dict | None = None) -> int:
+def modexp(base: int, exp: int, modulus: int, tables: dict) -> int:
     """base^exp mod modulus, bit-identical to pow(base, exp, modulus).
 
-    Given a tables dict and a modulus above 64 bits, it is evaluated from the
-    powers of base kept there, built or extended as needed (`_table_pow`).
-    Otherwise it is one call of the builtin `pow`, whose square-and-multiply
-    beats a table evaluated in Python at small moduli.  A non-int base or
-    exponent raises TypeError, as `pow` does."""
+    At a modulus above 64 bits it is evaluated from the powers of base kept
+    in tables, built or extended as needed (`_table_pow`).  Otherwise it is
+    one call of the builtin `pow`, whose square-and-multiply beats a table
+    evaluated in Python at small moduli.  A non-int base or exponent raises
+    TypeError, as `pow` does."""
     if modulus < 2:
         raise ParameterError("modulus must be >= 2")
     if exp < 0:
         raise ParameterError("exponent must be >= 0")
-    if tables is None or modulus.bit_length() <= 64:
+    if modulus.bit_length() <= 64:
         return _powmod(base, exp, modulus)
     return _table_pow(tables, operator.index(base), operator.index(exp), modulus)
 
@@ -152,13 +152,13 @@ class KeyPair:
             raise ParameterError("secret key must be >= 1")
 
 
-def generate_keypair(params: DhParams, rng: Rng, tables: dict | None = None) -> KeyPair:
+def generate_keypair(params: DhParams, rng: Rng, tables: dict) -> KeyPair:
     bound = min(params.prime - 2, MAX_SECRET_EXPONENT)
     sk = 1 + rng.randbelow(bound - 1)
     return KeyPair(sk=sk, pk=modexp(params.generator, sk, params.prime, tables))
 
 
-def dh_shared_secret(sk: int, their_pk: int, params: DhParams, tables: dict | None = None) -> int:
+def dh_shared_secret(sk: int, their_pk: int, params: DhParams, tables: dict) -> int:
     """Symmetric shared secret pk_j^sk_i = g^(sk_i * sk_j) mod p, for the
     secret exponent sk_i; a peer key that is not an int in (1, p) raises
     ProtocolError."""
@@ -316,7 +316,7 @@ def _challenge(commitment: int, message: bytes) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sign(message: bytes, sk: int, params: DhParams, tables: dict | None = None) -> Signature:
+def sign(message: bytes, sk: int, params: DhParams, tables: dict) -> Signature:
     # Deterministic nonce from (sk, message): no RNG needed, reproducible runs
     nonce_src = hashlib.sha256(b"nonce|" + _canonical_bytes(sk) + b"|" + message).digest()
     nonce = int.from_bytes(nonce_src, "big") % MAX_SECRET_EXPONENT + 1
@@ -325,16 +325,15 @@ def sign(message: bytes, sk: int, params: DhParams, tables: dict | None = None) 
     return Signature(commitment=commitment, response=nonce + e * sk)
 
 
-def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: dict | None = None) -> bool:
+def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: dict) -> bool:
     """Whether sig is a Schnorr signature of message under pk: g^s == r *
     pk^e mod p for e the challenge of (r, message).  A malformed signature,
     and a response s of 2^64 * (2^61 - 1) or more (no honest s reaches
     it), give False before any exponentiation.
 
-    Given the round's tables dict, both exponentiations go through `modexp`
-    with it, and the result is kept there under a tagged key, so every
-    client of a round checking the same broadcast signature runs the check
-    once."""
+    Both exponentiations go through `modexp` with the tables dict, and the
+    result is kept there under a tagged key, so every client of a round
+    checking the same broadcast signature runs the check once."""
     try:
         commitment, response = sig.commitment, sig.response
         # an honest s = nonce + e * sk lies below 2^64 * (2^61 - 1), as the
@@ -343,7 +342,7 @@ def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: di
         if not (0 < commitment < params.prime and 0 <= response < MAX_SECRET_EXPONENT << 64):
             return False
         key = ("verify", message, commitment, response, pk, params.prime, params.generator)
-        if tables is not None and key in tables:
+        if key in tables:
             return tables[key]
         e = _challenge(commitment, message)
         ok = modexp(params.generator, response, params.prime, tables) == (
@@ -351,6 +350,5 @@ def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: di
         )
     except (ParameterError, AttributeError, TypeError):
         return False
-    if tables is not None:
-        tables[key] = ok
+    tables[key] = ok
     return ok

@@ -48,12 +48,12 @@ def naive_modexp(base, exp, modulus):
 
 def test_modexp_zero_exponent():
     for x in (0, 1, 5, 12345):
-        assert modexp(x, 0, 97) == 1
+        assert modexp(x, 0, 97, {}) == 1
 
 
 def test_modexp_known_value():
-    assert modexp(5, 15, 23) == 19
-    assert modexp(5, 15, 23) == naive_modexp(5, 15, 23)
+    assert modexp(5, 15, 23, {}) == 19
+    assert modexp(5, 15, 23, {}) == naive_modexp(5, 15, 23)
 
 
 def test_modexp_matches_naive_oracle_small():
@@ -62,7 +62,7 @@ def test_modexp_matches_naive_oracle_small():
         base = int(rng.integers(0, 1000))
         exp = int(rng.integers(0, 200))
         mod = int(rng.integers(2, 1000))
-        assert modexp(base, exp, mod) == naive_modexp(base, exp, mod)
+        assert modexp(base, exp, mod, {}) == naive_modexp(base, exp, mod)
 
 
 def test_modexp_matches_builtin_big_modulus():
@@ -71,7 +71,7 @@ def test_modexp_matches_builtin_big_modulus():
     for _ in range(10):
         base = rng.randbelow(p)
         exp = rng.randbelow(1 << 61)
-        assert modexp(base, exp, p) == pow(base, exp, p)
+        assert modexp(base, exp, p, {}) == pow(base, exp, p)
 
 
 # RFC 3526 section 3, the 2048-bit MODP group (group 14), as printed there
@@ -121,9 +121,9 @@ def test_rfc3526_group_is_the_published_safe_prime():
 
 def test_modexp_validation():
     with pytest.raises(ParameterError):
-        modexp(2, 3, 1)
+        modexp(2, 3, 1, {})
     with pytest.raises(ParameterError):
-        modexp(2, -1, 7)
+        modexp(2, -1, 7, {})
 
 
 def test_modexp_table_path_matches_pow():
@@ -186,15 +186,15 @@ def test_dh_tiny_worked_example():
     params = DhParams(prime=23, generator=5)
     a = 6
     b = 15
-    pk_a = modexp(5, a, 23)
-    pk_b = modexp(5, b, 23)
+    pk_a = modexp(5, a, 23, {})
+    pk_b = modexp(5, b, 23, {})
     assert (pk_a, pk_b) == (8, 19)
     from fedmask.crypto import KeyPair
 
     kp_a = KeyPair(sk=a, pk=pk_a)
     kp_b = KeyPair(sk=b, pk=pk_b)
-    s_ab = dh_shared_secret(kp_a.sk, pk_b, params)
-    s_ba = dh_shared_secret(kp_b.sk, pk_a, params)
+    s_ab = dh_shared_secret(kp_a.sk, pk_b, params, {})
+    s_ba = dh_shared_secret(kp_b.sk, pk_a, params, {})
     assert s_ab == s_ba == 2
 
 
@@ -202,29 +202,29 @@ def test_dh_symmetric_same_secret():
     params = DhParams(prime=23, generator=5)
     from fedmask.crypto import KeyPair
 
-    kp = KeyPair(sk=7, pk=modexp(5, 7, 23))
-    assert dh_shared_secret(kp.sk, kp.pk, params) == dh_shared_secret(kp.sk, kp.pk, params)
+    kp = KeyPair(sk=7, pk=modexp(5, 7, 23, {}))
+    assert dh_shared_secret(kp.sk, kp.pk, params, {}) == dh_shared_secret(kp.sk, kp.pk, params, {})
 
 
 def test_dh_symmetry_rfc_group():
     rng = Rng(2).child("dh")
     for i in range(25):
-        a = generate_keypair(RFC3526_2048, rng.child("a", i))
-        b = generate_keypair(RFC3526_2048, rng.child("b", i))
-        assert dh_shared_secret(a.sk, b.pk, RFC3526_2048) == dh_shared_secret(b.sk, a.pk, RFC3526_2048)
+        a = generate_keypair(RFC3526_2048, rng.child("a", i), {})
+        b = generate_keypair(RFC3526_2048, rng.child("b", i), {})
+        assert dh_shared_secret(a.sk, b.pk, RFC3526_2048, {}) == dh_shared_secret(b.sk, a.pk, RFC3526_2048, {})
 
 
 def test_dh_rejects_out_of_range_pk():
     from fedmask.crypto import ProtocolError
 
-    kp = generate_keypair(TOY_GROUP, Rng(0).child("kp"))
+    kp = generate_keypair(TOY_GROUP, Rng(0).child("kp"), {})
     with pytest.raises(ProtocolError):
-        dh_shared_secret(kp.sk, TOY_GROUP.prime, TOY_GROUP)
+        dh_shared_secret(kp.sk, TOY_GROUP.prime, TOY_GROUP, {})
     with pytest.raises(ProtocolError):
-        dh_shared_secret(kp.sk, 1, TOY_GROUP)
+        dh_shared_secret(kp.sk, 1, TOY_GROUP, {})
     for pk in (2.0, "2", None):
         with pytest.raises(ProtocolError):
-            dh_shared_secret(kp.sk, pk, TOY_GROUP)
+            dh_shared_secret(kp.sk, pk, TOY_GROUP, {})
 
 
 def test_dh_params_validation():
@@ -485,37 +485,37 @@ def test_seed_from_secret_deterministic_and_label_separated():
 
 
 def test_schnorr_round_trip_many_messages():
-    kp = generate_keypair(TOY_GROUP, Rng(8).child("kp"))
+    kp = generate_keypair(TOY_GROUP, Rng(8).child("kp"), {})
     rng = Rng(8).child("msgs")
     for i in range(100):
         msg = bytes(int(b) for b in rng.integers(0, 256, size=20))
-        assert verify(msg, sign(msg, kp.sk, TOY_GROUP), kp.pk, TOY_GROUP)
+        assert verify(msg, sign(msg, kp.sk, TOY_GROUP, {}), kp.pk, TOY_GROUP, {})
 
 
 def test_schnorr_rejects_tampered_message():
-    kp = generate_keypair(TOY_GROUP, Rng(9).child("kp"))
-    sig = sign(b"hello", kp.sk, TOY_GROUP)
-    assert not verify(b"hellp", sig, kp.pk, TOY_GROUP)
+    kp = generate_keypair(TOY_GROUP, Rng(9).child("kp"), {})
+    sig = sign(b"hello", kp.sk, TOY_GROUP, {})
+    assert not verify(b"hellp", sig, kp.pk, TOY_GROUP, {})
 
 
 def test_schnorr_rejects_wrong_pk():
-    kp1 = generate_keypair(TOY_GROUP, Rng(10).child("a"))
-    kp2 = generate_keypair(TOY_GROUP, Rng(10).child("b"))
-    sig = sign(b"msg", kp1.sk, TOY_GROUP)
-    assert not verify(b"msg", sig, kp2.pk, TOY_GROUP)
+    kp1 = generate_keypair(TOY_GROUP, Rng(10).child("a"), {})
+    kp2 = generate_keypair(TOY_GROUP, Rng(10).child("b"), {})
+    sig = sign(b"msg", kp1.sk, TOY_GROUP, {})
+    assert not verify(b"msg", sig, kp2.pk, TOY_GROUP, {})
 
 
 def test_schnorr_rejects_malformed_signature():
-    kp = generate_keypair(TOY_GROUP, Rng(11).child("kp"))
-    assert not verify(b"m", Signature(commitment=0, response=5), kp.pk, TOY_GROUP)
-    assert not verify(b"m", Signature(commitment=5, response=-1), kp.pk, TOY_GROUP)
-    assert not verify(b"m", "not a signature", kp.pk, TOY_GROUP)
+    kp = generate_keypair(TOY_GROUP, Rng(11).child("kp"), {})
+    assert not verify(b"m", Signature(commitment=0, response=5), kp.pk, TOY_GROUP, {})
+    assert not verify(b"m", Signature(commitment=5, response=-1), kp.pk, TOY_GROUP, {})
+    assert not verify(b"m", "not a signature", kp.pk, TOY_GROUP, {})
 
 
 def test_schnorr_big_group():
-    kp = generate_keypair(RFC3526_2048, Rng(12).child("kp"))
+    kp = generate_keypair(RFC3526_2048, Rng(12).child("kp"), {})
     msg = b"roster|0,1,2"
-    assert verify(msg, sign(msg, kp.sk, RFC3526_2048), kp.pk, RFC3526_2048)
+    assert verify(msg, sign(msg, kp.sk, RFC3526_2048, {}), kp.pk, RFC3526_2048, {})
 
 
 GROUPS = pytest.mark.parametrize("params", [TOY_GROUP, RFC3526_2048], ids=["toy", "rfc3526"])
@@ -540,16 +540,16 @@ def modexp_calls(monkeypatch):
 @given(seed=st.integers(0, 2**32), message=st.binary(max_size=40))
 def test_property_honest_response_below_bound(seed, message):
     for params in (TOY_GROUP, RFC3526_2048):
-        kp = generate_keypair(params, Rng(seed).child("kp"))
-        sig = sign(message, kp.sk, params)
+        kp = generate_keypair(params, Rng(seed).child("kp"), {})
+        sig = sign(message, kp.sk, params, {})
         assert 0 <= sig.response < MAX_RESPONSE
         assert verify(message, sig, kp.pk, params, {})
 
 
 @GROUPS
 def test_overlong_response_rejected_before_any_exponentiation(modexp_calls, params):
-    kp = generate_keypair(params, Rng(13).child("kp"))
-    sig = sign(b"m", kp.sk, params)
+    kp = generate_keypair(params, Rng(13).child("kp"), {})
+    sig = sign(b"m", kp.sk, params, {})
     modexp_calls.clear()
     tables = {}
     for response in (sig.response + 2**20000, MAX_RESPONSE):
@@ -561,9 +561,9 @@ def test_overlong_response_rejected_before_any_exponentiation(modexp_calls, para
 def signature_cases(params):
     """(message, signature, pk) triples: honest, wrong message, wrong key,
     commitments 0 and p, a negative response, and a non-Signature."""
-    kp = generate_keypair(params, Rng(14).child("a"))
-    other = generate_keypair(params, Rng(14).child("b"))
-    sig = sign(b"msg", kp.sk, params)
+    kp = generate_keypair(params, Rng(14).child("a"), {})
+    other = generate_keypair(params, Rng(14).child("b"), {})
+    sig = sign(b"msg", kp.sk, params, {})
     return [
         (b"msg", sig, kp.pk),
         (b"msh", sig, kp.pk),
@@ -580,7 +580,7 @@ def test_verify_with_tables_matches_direct_check(params):
     cases = signature_cases(params)
     tables = {}
     results = [verify(m, sig, pk, params, tables) for m, sig, pk in cases]
-    assert results == [verify(m, sig, pk, params) for m, sig, pk in cases]
+    assert results == [verify(m, sig, pk, params, {}) for m, sig, pk in cases]
     assert results == [True] + [False] * (len(cases) - 1)
     # a second pass reads the kept results
     assert [verify(m, sig, pk, params, tables) for m, sig, pk in cases] == results

@@ -217,7 +217,7 @@ def test_signed_public_key_out_of_range_aborts_its_recipients(monkeypatch):
         if state.cid != 1:
             return state, out
         (advert,) = out
-        sig = sign(secagg.advert_signing_bytes(1, advert.pk1, 1), state.kp1.sk, state.params)
+        sig = sign(secagg.advert_signing_bytes(1, advert.pk1, 1), state.kp1.sk, state.params, state.tables)
         return state, [dataclasses.replace(advert, pk2=1, sig=sig)]
 
     monkeypatch.setattr(secagg, "_client_advertise", patched)
@@ -242,7 +242,7 @@ def test_malformed_public_key_in_2048_bit_roster_aborts_its_recipients(monkeypat
             return state, out
         (advert,) = out
         advert = dataclasses.replace(advert, **{key: value})
-        sig = sign(secagg.advert_signing_bytes(1, advert.pk1, advert.pk2), state.kp1.sk, state.params)
+        sig = sign(secagg.advert_signing_bytes(1, advert.pk1, advert.pk2), state.kp1.sk, state.params, state.tables)
         return state, [dataclasses.replace(advert, sig=sig)]
 
     monkeypatch.setattr(secagg, "_client_advertise", patched)
