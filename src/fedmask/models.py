@@ -227,13 +227,11 @@ def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.nd
     Goodfellow's per-example trick ("Efficient Per-Example Gradient
     Computations", arXiv:1510.01799): a layer's weight gradient for one
     example is the outer product of its input activation and its delta, so
-    the (B, ...) deltas are backpropagated once and each example's outer
-    products are written straight into its row by one einsum, which runs
-    faster than a broadcast multiply's fan_out-long inner loops.  Each
-    product is the same float multiply, added to a zeroed row, so a product
-    of -0.0 reads +0.0.  For B = 1 the row equals ``backward`` under
-    np.array_equal; for larger B the batched matmuls may round the
-    backpropagated deltas differently in the last bits.
+    the (B, ...) deltas are backpropagated once and one einsum, faster than a
+    broadcast multiply's fan_out-long inner loops, writes each example's outer
+    products into its row; a -0.0 product reads +0.0.  For B = 1 the row
+    equals ``backward`` (np.array_equal); for larger B the batched matmuls
+    may round the backpropagated deltas differently in the last bits.
     """
     pre, acts = forward_trace(model, X)
     _, dout = _loss_head(acts[-1], Y, loss)
@@ -250,9 +248,8 @@ def backward(model: TinyModel, batch: Batch, loss: str = "mse"):
 
 
 def input_gradient(model: TinyModel, trace, labels, loss: str):
-    """Batch-averaged loss and its gradient with respect to the inputs, from
-    a ``forward_trace`` of the batch inputs (used by inversion attacks); no
-    parameter gradient is formed."""
+    """Batch-averaged loss and its input gradient, from a ``forward_trace`` of
+    the batch (for inversion attacks); no parameter gradient is formed."""
     loss_value, deltas = _averaged_deltas(model, trace, labels, loss)
     return loss_value, deltas[0] @ model.layers[0][0].T
 
