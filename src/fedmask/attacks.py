@@ -14,7 +14,6 @@ from .data import mixture_means
 from .models import (
     Batch,
     TinyModel,
-    backward,
     flatten,
     forward_batch,
     forward_trace,
@@ -66,23 +65,22 @@ class ReconstructionReport:
 
 def gradient_difference(model: TinyModel, known_grad: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """D = || grad_w L(model; x, y) - known_grad ||^2 for a single example."""
-    _, g = backward(model, Batch(inputs=x[None, :], labels=y[None, :]), "mse")
-    d = g - known_grad
+    d = trace_gradient(model, forward_trace(model, x[None, :]), y[None, :], "mse") - known_grad
     return float(d @ d)
 
 
-def _batched_fd_gradient(model: TinyModel, known_grad: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """Central finite differences of gradient_difference over v = (x, y).
+def _batched_fd_gradient(model: TinyModel, known_grad: np.ndarray, v: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Central finite differences of gradient_difference over v = (x, y),
+    with ``step`` the matrix hI of probe offsets.
 
     The 2n probe points v + h e_i and v - h e_i are the rows of v + hI and
     v - hI, and one per_example_backward call gives all their gradients."""
     n, din = v.shape[0], model.input_dim
-    step = h * np.eye(n)
     probes = np.concatenate([v + step, v - step])
     diff = per_example_backward(model, probes[:, :din], probes[:, din:], "mse")
     diff -= known_grad
     sq = np.einsum("ij,ij->i", diff, diff)
-    return (sq[:n] - sq[n:]) / (2.0 * h)
+    return (sq[:n] - sq[n:]) / (2.0 * step[0, 0])
 
 
 def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgConfig) -> ReconstructionReport:
@@ -99,6 +97,7 @@ def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgC
         raise ParameterError(f"known_grad must be a vector of {model.param_count} values, got shape {known_grad.shape}")
     rng = Rng(cfg.seed).child("dlg-init")
     v = rng.normal(0.0, cfg.init_scale, din + dout)
+    step = cfg.fd_step * np.eye(din + dout)
 
     def objective(vec):
         return gradient_difference(model, known_grad, vec[:din], vec[din:])
@@ -111,7 +110,7 @@ def dlg_attack(model: TinyModel, known_grad: np.ndarray, truth: Batch, cfg: DlgC
         if not np.isfinite(d):
             aborted = "non-finite objective"
             break
-        g = _batched_fd_gradient(model, known_grad, v, cfg.fd_step)
+        g = _batched_fd_gradient(model, known_grad, v, step)
         stepped = False
         for _ in range(30):
             v_new = v - eta * g
@@ -173,7 +172,7 @@ def mia_attack(model: TinyModel, label: int, T: int = 200, eta: float = 1.0, cla
     def cost_and_grad(xv):
         trace = forward_trace(model, xv[None, :])
         probs = softmax(trace[1][-1][0])
-        _, gx = input_gradient(model, trace, labels, "cross_entropy")
+        gx = input_gradient(model, trace, labels, "cross_entropy")
         # C = 1 - p_label and L_ce = -log p_label, so dC/dx = p_label * dL/dx
         return 1.0 - float(probs[label]), float(probs[label]) * gx[0]
 
@@ -253,7 +252,7 @@ def _d_step(d: TinyModel, real: np.ndarray, fake: np.ndarray, labels: np.ndarray
     """One discriminator update, real examples toward 1 and fake toward 0
     (``labels`` holds those targets, real rows first), with the weights
     clipped to [-clip, clip] afterwards."""
-    _, grad = backward(d, Batch(inputs=np.vstack([real, fake]), labels=labels), "mse")
+    grad = trace_gradient(d, forward_trace(d, np.concatenate((real, fake))), labels, "mse")
     return unflatten(d, np.clip(flatten(d) - eta * grad, -clip, clip))
 
 
@@ -267,10 +266,10 @@ def _g_step(g: TinyModel, d_for_signal: TinyModel, g_trace, goal: np.ndarray, et
     ``g_trace`` is the forward trace of G(z)."""
     fake = g_trace[1][-1]
     # upstream gradient through the discriminator at the generated points
-    _, up = input_gradient(d_for_signal, forward_trace(d_for_signal, fake), goal, "mse")
+    up = input_gradient(d_for_signal, forward_trace(d_for_signal, fake), goal, "mse")
     # surrogate targets make the generator's own backprop consume `up`
     targets = fake - fake.shape[0] * up
-    _, grad = trace_gradient(g, g_trace, targets, "mse")
+    grad = trace_gradient(g, g_trace, targets, "mse")
     return unflatten(g, flatten(g) - eta * grad)
 
 
@@ -316,7 +315,7 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
     if mode == "pretrained":
         pre_rng = rng.child("pretrain")
         for _ in range(schedule.pretrain_epochs * schedule.steps_per_epoch):
-            idx = pre_rng.choice(n_real, n_batch, replace=True)
+            idx = pre_rng.integers(0, n_real, n_batch)
             fake = forward_batch(g, _gen_noise(pre_rng, B, zdim))
             d = _d_step(d, real_data[idx], fake, d_labels, schedule.pretrain_eta, schedule.d_clip)
         frozen = True
@@ -337,7 +336,7 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
         trace.append(loss)
         for step in range(schedule.steps_per_epoch):
             srng = rng.child("step", epoch, step)
-            idx = srng.choice(n_real, n_batch, replace=True)
+            idx = srng.integers(0, n_real, n_batch)
             g_trace = forward_trace(g, _gen_noise(srng, B, zdim))
             fake = g_trace[1][-1]
             if not frozen:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import FieldVector, MERSENNE61, ParameterError, Rng
+from .numeric import FieldVector, MERSENNE61, ParameterError, Rng, field_reduce
 
 _powmod = pow  # the exponentiation off the table path; perfbench records it
 
@@ -284,8 +284,7 @@ def prg_expand(seed: int, dim: int) -> FieldVector:
     if dim < 1:
         raise ParameterError("dim must be >= 1")
     stream = _sha256_counter_stream(b"prg", seed, 8 * dim)
-    words = np.frombuffer(stream, dtype=">u8", count=dim)
-    return FieldVector(words % np.uint64(MERSENNE61))
+    return field_reduce(np.frombuffer(stream, dtype=">u8", count=dim))
 
 
 def stream_xor(key_seed: int, data: bytes) -> bytes:

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import aggregators
-from .models import Batch, TinyModel, backward, flatten, per_example_backward, unflatten
+from .models import Batch, TinyModel, flatten, forward_trace, per_example_backward, trace_gradient, unflatten
 from .numeric import ParameterError, Rng, uniform_mask
 
 
@@ -109,7 +109,8 @@ def client_update(model: TinyModel, inputs, labels, t_local: int, eta: float, lo
     batch = Batch(inputs=inputs, labels=labels)
     w = flatten(model)
     for _ in range(t_local):
-        _, grad = backward(unflatten(model, w), batch, loss)
+        current = unflatten(model, w)
+        grad = trace_gradient(current, forward_trace(current, batch.inputs), batch.labels, loss)
         w = w - eta * grad
     return w
 

@@ -324,7 +324,7 @@ def pretrained_glyph_model() -> TinyModel:
     n = inputs.shape[0]
     order_rng = rng.child("batches")
     for _ in range(800):
-        idx = order_rng.choice(n, 32, replace=False)
+        idx = order_rng.choice(n, 32)
         model = sgd_step(model, Batch(inputs=inputs[idx], labels=labels[idx]), 0.5, "cross_entropy")
         model = unflatten(model, np.clip(flatten(model), -0.1, 0.1))
     return model

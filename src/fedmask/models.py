@@ -149,9 +149,9 @@ def forward_batch(model: TinyModel, X: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def forward_trace(model: TinyModel, X: np.ndarray):
@@ -170,25 +170,31 @@ def forward_trace(model: TinyModel, X: np.ndarray):
     return pre, activations
 
 
-def _loss_head(out: np.ndarray, labels, loss: str):
-    """Summed loss over the batch and each example's own output delta
-    dL_i/d out_i (unscaled: the mse residual, or softmax minus one-hot)."""
+def _output_delta(out: np.ndarray, labels, loss: str) -> np.ndarray:
+    """Each example's own output delta dL_i/d out_i (unscaled: the mse
+    residual, or softmax minus one-hot), after checking the labels."""
     if loss == "mse":
         targets = np.asarray(labels, dtype=np.float64)
         if targets.shape != out.shape:
             raise ParameterError("mse targets must match output shape")
-        resid = out - targets
-        return 0.5 * float(np.sum(resid * resid)), resid
+        return out - targets
     if loss == "cross_entropy":
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != out.shape[:1]:
             raise ParameterError("cross_entropy labels must be one class index per output row")
         probs = softmax(out)
-        rows = np.arange(out.shape[0])
-        picked = probs[rows, labels]
-        probs[rows, labels] -= 1.0
-        return -float(np.sum(np.log(np.maximum(picked, 1e-300)))), probs
+        probs[np.arange(out.shape[0]), labels] -= 1.0
+        return probs
     raise ParameterError(f"unknown loss {loss!r}")
+
+
+def _loss_sum(out: np.ndarray, labels, loss: str) -> float:
+    """Summed loss over the batch, for labels ``_output_delta`` accepted."""
+    if loss == "mse":
+        resid = out - np.asarray(labels, dtype=np.float64)
+        return 0.5 * float(np.add.reduce(resid * resid, axis=None))
+    picked = softmax(out)[np.arange(out.shape[0]), np.asarray(labels, dtype=np.int64)]
+    return -float(np.sum(np.log(np.maximum(picked, 1e-300))))
 
 
 def _deltas(model: TinyModel, pre, acts, dout: np.ndarray) -> list[np.ndarray]:
@@ -201,23 +207,21 @@ def _deltas(model: TinyModel, pre, acts, dout: np.ndarray) -> list[np.ndarray]:
     return deltas[::-1]
 
 
-def _averaged_deltas(model: TinyModel, trace, labels, loss: str):
-    """Batch-averaged loss and each layer's delta of it, from a trace."""
+def _averaged_deltas(model: TinyModel, trace, labels, loss: str) -> list[np.ndarray]:
+    """Each layer's delta of the batch-averaged loss, from a trace."""
     pre, acts = trace
-    size = acts[0].shape[0]
-    loss_sum, dout = _loss_head(acts[-1], labels, loss)
-    return loss_sum / size, _deltas(model, pre, acts, dout / size)
+    return _deltas(model, pre, acts, _output_delta(acts[-1], labels, loss) / acts[0].shape[0])
 
 
-def trace_gradient(model: TinyModel, trace, labels, loss: str):
-    """Batch-averaged loss and its gradient over the flattened parameters,
-    from a ``forward_trace`` of the batch inputs."""
-    loss_value, deltas = _averaged_deltas(model, trace, labels, loss)
+def trace_gradient(model: TinyModel, trace, labels, loss: str) -> np.ndarray:
+    """Gradient of the batch-averaged loss over the flattened parameters,
+    from a ``forward_trace`` of the batch inputs; the loss is not formed."""
+    deltas = _averaged_deltas(model, trace, labels, loss)
     grad = np.empty(model.param_count)
     for a, delta, (grad_w, grad_b) in zip(trace[1], deltas, _layers(model.sizes, grad)):
         np.matmul(a.T, delta, out=grad_w)
-        np.sum(delta, axis=0, out=grad_b)
-    return loss_value, grad
+        np.add.reduce(delta, axis=0, out=grad_b)
+    return grad
 
 
 def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.ndarray:
@@ -234,7 +238,7 @@ def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.nd
     may round the backpropagated deltas differently in the last bits.
     """
     pre, acts = forward_trace(model, X)
-    _, dout = _loss_head(acts[-1], Y, loss)
+    dout = _output_delta(acts[-1], Y, loss)
     grads = np.empty((acts[0].shape[0], model.param_count))
     for a, delta, (grad_w, grad_b) in zip(acts, _deltas(model, pre, acts, dout), _layers(model.sizes, grads)):
         np.einsum("bi,bj->bij", a, delta, out=grad_w)
@@ -244,20 +248,22 @@ def per_example_backward(model: TinyModel, X: np.ndarray, Y, loss: str) -> np.nd
 
 def backward(model: TinyModel, batch: Batch, loss: str = "mse"):
     """Batch-averaged loss and its gradient over the flattened parameters."""
-    return trace_gradient(model, forward_trace(model, batch.inputs), batch.labels, loss)
+    trace = forward_trace(model, batch.inputs)
+    grad = trace_gradient(model, trace, batch.labels, loss)
+    return _loss_sum(trace[1][-1], batch.labels, loss) / batch.size, grad
 
 
-def input_gradient(model: TinyModel, trace, labels, loss: str):
-    """Batch-averaged loss and its input gradient, from a ``forward_trace`` of
-    the batch (for inversion attacks); no parameter gradient is formed."""
-    loss_value, deltas = _averaged_deltas(model, trace, labels, loss)
-    return loss_value, deltas[0] @ model.layers[0][0].T
+def input_gradient(model: TinyModel, trace, labels, loss: str) -> np.ndarray:
+    """Gradient of the batch-averaged loss over the inputs, from a
+    ``forward_trace`` of the batch (for inversion attacks); neither the loss
+    nor a parameter gradient is formed."""
+    return _averaged_deltas(model, trace, labels, loss)[0] @ model.layers[0][0].T
 
 
 def sgd_step(model: TinyModel, batch: Batch, eta: float, loss: str = "mse") -> TinyModel:
     if eta < 0:
         raise ParameterError("eta must be >= 0")
-    _, grad = backward(model, batch, loss)
+    grad = trace_gradient(model, forward_trace(model, batch.inputs), batch.labels, loss)
     return unflatten(model, flatten(model) - eta * grad)
 
 

@@ -90,17 +90,16 @@ class Rng:
     def shuffle(self, items: list) -> None:
         self._gen.shuffle(items)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        """``size`` distinct values below n; ``integers`` draws with replacement."""
+        return self._gen.choice(n, size=size, replace=False)
 
 
 def _derive_key(seed: int, path: tuple[str, ...]) -> int:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(seed.to_bytes(8, "little"))
-    for tag in path:
-        h.update(b"/")
-        h.update(tag.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little")
+    """BLAKE2b-128 of the seed's 8 little-endian bytes, then "/" and the
+    UTF-8 of each tag."""
+    data = seed.to_bytes(8, "little") + "/".join(("",) + path).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def as_vector(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ParameterError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ParameterError("vector contains non-finite values")
     return v
 
@@ -183,13 +182,24 @@ def _check_compat(a: FieldVector, b: FieldVector) -> None:
 
 def field_add(a: FieldVector, b: FieldVector) -> FieldVector:
     _check_compat(a, b)
-    # residues < 2^61, so the sum fits in uint64 without overflow
-    return FieldVector((a.residues + b.residues) % _P)
+    # residues < 2^61, so the sum s < 2p fits in uint64; below p, s - p
+    # wraps above s, so the minimum is s mod p
+    s = a.residues + b.residues
+    return FieldVector(np.minimum(s, s - _P, out=s))
 
 
 def field_sub(a: FieldVector, b: FieldVector) -> FieldVector:
     _check_compat(a, b)
-    return FieldVector((a.residues + (_P - b.residues) % _P) % _P)
+    # for a < b, a - b wraps to 2^64 + a - b and adding p wraps it back into [0, p)
+    d = a.residues - b.residues
+    return FieldVector(np.minimum(d, d + _P, out=d))
+
+
+def field_reduce(words: np.ndarray) -> FieldVector:
+    """uint64 words mod p.  Since 2^61 = 1 (mod p), a word is congruent to
+    its low 61 bits plus its top 3, a sum below 2p."""
+    r = (words & _P) + (words >> np.uint64(61))
+    return FieldVector(np.minimum(r, r - _P, out=r))
 
 
 def field_zero(dim: int) -> FieldVector:

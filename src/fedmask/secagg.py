@@ -518,7 +518,7 @@ class RoundTranscript:
 
 def _serialize_value(v):
     if isinstance(v, FieldVector):
-        return {"residues": [str(int(r)) for r in v.residues], "modulus": str(v.modulus), "frac_bits": v.frac_bits}
+        return {"residues": list(map(str, v.residues.tolist())), "modulus": str(v.modulus), "frac_bits": v.frac_bits}
     if isinstance(v, ShamirShare):
         return _encode_share(v)
     if isinstance(v, bytes):

@@ -57,7 +57,7 @@ def test_fd_gradient_matches_analytic_on_linear_model():
     known = np.concatenate([G.ravel(), h_t])
     v = rng.uniform(-1, 1, din + dout)
 
-    fd = _batched_fd_gradient(model, known, v.copy(), 1e-4)
+    fd = _batched_fd_gradient(model, known, v.copy(), 1e-4 * np.eye(din + dout))
 
     # analytic: r = xW + b - y; grad_w = x^T r, grad_b = r
     x, y = v[:din], v[din:]
@@ -112,7 +112,7 @@ def test_batched_fd_gradient_matches_probe_loop():
 
     for v in points:
         want = loop_fd_gradient(objective, v, cfg.fd_step)
-        got = _batched_fd_gradient(model, known, v, cfg.fd_step)
+        got = _batched_fd_gradient(model, known, v, cfg.fd_step * np.eye(68))
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -345,6 +345,31 @@ def test_gan_attack_forward_trace_count(monkeypatch, mode):
     P = schedule.pretrain_epochs * S
     expected = 2 * P + 2 * E * S + 2 * E + 1 if mode == "pretrained" else 3 * E * S + 2 * E + 1
     assert len(calls) == expected == (119 if mode == "pretrained" else 122)
+
+
+@pytest.mark.parametrize("mode", GAN_MODES)
+def test_gan_attack_calls_no_backward_batch_or_choice(monkeypatch, mode):
+    """Both networks' steps differentiate their forward traces directly and
+    draw batch indices with `Rng.integers`: no `backward` call, no `Batch`
+    built and no `Rng.choice` draw, in any mode."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    backward = counting("backward", models.backward)
+    monkeypatch.setattr(models, "backward", backward)
+    # a by-name import of backward into attacks would bypass the patch above
+    monkeypatch.setattr(attacks, "backward", backward, raising=False)
+    monkeypatch.setattr(models.Batch, "__post_init__", counting("Batch", models.Batch.__post_init__))
+    monkeypatch.setattr(Rng, "choice", counting("choice", Rng.choice))
+    real, _ = make_gaussian_mixture(128, Rng(0).child("real"))
+    gan_attack(default_gan_pair(0), real, GanSchedule(epochs=11, steps_per_epoch=3), mode=mode)
+    assert calls == []
 
 
 def test_mia_attack_traces_once_per_cost_evaluation(monkeypatch):

@@ -234,7 +234,7 @@ def test_gradient_random_coordinates_2layer():
 def test_input_gradient_matches_finite_differences():
     model = init_model((4, 5, 2), "sigmoid", Rng(14))
     batch = random_batch(model, "mse", Rng(15))
-    _, gx = input_gradient(model, forward_trace(model, batch.inputs), batch.labels, "mse")
+    gx = input_gradient(model, forward_trace(model, batch.inputs), batch.labels, "mse")
     h = 1e-5
     x = batch.inputs.copy()
     for b in range(x.shape[0]):
@@ -247,6 +247,17 @@ def test_input_gradient_matches_finite_differences():
             lm, _ = backward(model, Batch(inputs=xm, labels=batch.labels), "mse")
             fd = (lp - lm) / (2 * h)
             assert abs(gx[b, i] - fd) / max(abs(fd), 1e-6) < 1e-4
+
+
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_trace_and_input_gradients_return_only_the_gradient(loss):
+    model = init_model((3, 4, 2), "tanh", Rng(5))
+    batch = random_batch(model, loss, Rng(6))
+    trace = forward_trace(model, batch.inputs)
+    grad = trace_gradient(model, trace, batch.labels, loss)
+    grad_x = input_gradient(model, trace, batch.labels, loss)
+    assert type(grad) is np.ndarray and grad.shape == (model.param_count,)
+    assert type(grad_x) is np.ndarray and grad_x.shape == batch.inputs.shape
 
 
 def test_unknown_loss_rejected():
@@ -363,12 +374,11 @@ def test_property_gradients_match_full_backward_bit_for_bit(seed, activation, lo
     model, x, y = per_example_case(seed, activation, loss, tuple(sizes), B)
     batch = Batch(inputs=x, labels=y)
     want_loss, want_grad, want_grad_x = reference_backward_full(model, batch, loss)
-    for got_loss, got_grad in (backward(model, batch, loss), trace_gradient(model, forward_trace(model, x), y, loss)):
-        assert got_loss == want_loss
-        assert np.array_equal(got_grad, want_grad)
-    got_loss, got_grad_x = input_gradient(model, forward_trace(model, x), y, loss)
+    got_loss, got_grad = backward(model, batch, loss)
     assert got_loss == want_loss
-    assert np.array_equal(got_grad_x, want_grad_x)
+    assert np.array_equal(got_grad, want_grad)
+    assert np.array_equal(trace_gradient(model, forward_trace(model, x), y, loss), want_grad)
+    assert np.array_equal(input_gradient(model, forward_trace(model, x), y, loss), want_grad_x)
 
 
 def reference_per_example_backward(model, x, y, loss):

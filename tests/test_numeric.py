@@ -1,5 +1,7 @@
 """Vectors, seeded randomness, masks, and the fixed-point field codec."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,13 @@ from fedmask.numeric import (
     ParameterError,
     RangeError,
     Rng,
+    _derive_key,
     as_vector,
     clip_for_encoding,
     decode_fixed,
     encode_fixed,
     field_add,
+    field_reduce,
     field_sub,
     field_sum,
     field_zero,
@@ -56,6 +60,50 @@ def test_rng_rejects_bad_seed():
         Rng(-1)
     with pytest.raises(ParameterError):
         Rng(1 << 64)
+
+
+def reference_derive_key(seed, path):
+    """The key with the seed and each "/" and tag fed to BLAKE2b one update
+    at a time."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(seed.to_bytes(8, "little"))
+    for tag in path:
+        h.update(b"/")
+        h.update(tag.encode("utf-8"))
+    return int.from_bytes(h.digest(), "little")
+
+
+@pytest.mark.parametrize("path", [(), ("gan",), ("step", "3", "17"), ("", "/", "é", "ß\u20ac")])
+def test_derive_key_matches_streamed_hash(path):
+    for seed in (0, 1, 2**64 - 1):
+        assert _derive_key(seed, path) == reference_derive_key(seed, path)
+
+
+def test_choice_samples_without_replacement_only():
+    draw = Rng(3).choice(10, 10)
+    assert sorted(draw.tolist()) == list(range(10))
+    with pytest.raises(TypeError):
+        Rng(3).choice(10, 4, replace=True)
+
+
+def philox_position(gen):
+    """Everything that fixes a Philox generator's next draw."""
+    state = gen.bit_generator.state
+    counter, key = state["state"]["counter"].tolist(), state["state"]["key"].tolist()
+    return counter, key, state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"]
+
+
+def test_integers_matches_numpy_choice_with_replacement():
+    """``Rng.integers(0, n, size)`` draws what numpy's ``choice(n, size,
+    replace=True)`` draws and leaves the stream at the same point, so batch
+    draws by either give the same indices and the same later draws."""
+    for seed in range(40):
+        for n in (1, 2, 3, 5, 7, 64, 100, 128, 512, 1000, 2**20):
+            for size in (1, 64, 200):
+                rng = Rng(seed).child("batch")
+                numpy_gen = np.random.Generator(np.random.Philox(key=_derive_key(seed, ("batch",))))
+                assert np.array_equal(rng.integers(0, n, size), numpy_gen.choice(n, size, replace=True))
+                assert philox_position(rng._gen) == philox_position(numpy_gen)
 
 
 def test_randbelow_range_and_determinism():
@@ -184,6 +232,30 @@ def test_field_add_matches_integer_oracle():
         ia, ib = int(a.residues[i]), int(b.residues[i])
         assert int(add[i]) == (ia + ib) % MERSENNE61
         assert int(sub[i]) == (ia - ib) % MERSENNE61
+
+
+RESIDUE_EDGES = [0, 1, MERSENNE61 - 1]
+WORD_EDGES = [0, MERSENNE61 - 1, MERSENNE61, 2**64 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, MERSENNE61 - 1), st.integers(0, MERSENNE61 - 1)), max_size=20),
+    words=st.lists(st.integers(0, 2**64 - 1), max_size=20),
+)
+def test_property_field_reductions_match_python_ints(pairs, words):
+    """Add, subtract and word reduction against Python-int arithmetic mod p,
+    on every pair of edge residues and every edge word plus drawn ones.  Only
+    arrays enter the field code: numpy warns on scalar uint64 wraparound."""
+    a = [x for x in RESIDUE_EDGES for _ in RESIDUE_EDGES] + [x for x, _ in pairs]
+    b = RESIDUE_EDGES * len(RESIDUE_EDGES) + [y for _, y in pairs]
+    fa, fb = FieldVector(np.array(a, dtype=np.uint64)), FieldVector(np.array(b, dtype=np.uint64))
+    assert field_add(fa, fb).residues.tolist() == [(x + y) % MERSENNE61 for x, y in zip(a, b)]
+    assert field_sub(fa, fb).residues.tolist() == [(x - y) % MERSENNE61 for x, y in zip(a, b)]
+    words = WORD_EDGES + words
+    for dtype in ("<u8", ">u8"):  # prg_expand reduces big-endian words
+        got = field_reduce(np.array(words, dtype=dtype)).residues
+        assert got.tolist() == [w % MERSENNE61 for w in words]
 
 
 def test_exact_mask_cancellation():
