@@ -1,19 +1,18 @@
 """Modular-arithmetic primitives for the aggregation protocol: Diffie-Hellman,
 Shamir threshold sharing, PRG mask expansion, and Schnorr signatures.
 
-Exponentiation takes a `tables` dict.  At a modulus above 64 bits, `modexp`
-keeps in it, for each base b, the powers b, b^(2^w), b^(2^2w), ... and
-evaluates every exponent of b from them (the fixed-base method of Brickell,
-Gordon, McCurley and Wilson, EUROCRYPT '92).  A secure-aggregation round
-holds one such dict for all its parties: each public key is raised to a fresh
-secret exponent by every other client, and g by every key generation,
-signature and signature check, so one table serves many calls.  `verify`
-also keeps its results in that dict, so a signature broadcast to every client
-is checked once per round; it rejects a response too long for an honest
-signature before any exponentiation, so no peer chooses how far g's table
-grows.  Everything in the dict is a function of public values, every result
-is bit-identical to `pow`, and nothing is cached at module level.  At a
-modulus of 64 bits or fewer an exponentiation is one `pow` call.
+Exponentiation takes a `tables` dict and has one path at any modulus:
+`modexp` keeps in the dict, for each base b, the powers b, b^(2^w),
+b^(2^2w), ... and evaluates every exponent of b from them (the fixed-base
+method of Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92).  A
+secure-aggregation round holds one such dict for all its parties: each public
+key is raised to a fresh secret exponent by every other client, and g by
+every key generation, signature and signature check, so one table serves many
+calls.  `verify` also keeps its results in that dict, so a signature
+broadcast to every client is checked once per round; it rejects a response
+too long for an honest signature before any exponentiation, so no peer
+chooses how far g's table grows.  Everything in the dict is a function of public values, every result
+is bit-identical to `pow`, and nothing is cached at module level.
 
 Shamir reconstruction uses every share it is given: it interpolates through
 the first k and rejects any further share off that polynomial.
@@ -34,7 +33,9 @@ import numpy as np
 
 from .numeric import FieldVector, MERSENNE61, ParameterError, Rng, field_reduce
 
-_powmod = pow  # the exponentiation off the table path; perfbench records it
+# Nothing here calls it: `perfbench/worker.py` reads this alias for its
+# environment record, and that read is its only use.
+_powmod = pow
 
 # Prime used for Shamir sharing; identical to the mask field so mask seeds
 # and secret keys are shareable directly.
@@ -44,7 +45,7 @@ SHARING_PRIME = MERSENNE61
 # the same field.  Exponentiation stays cheap even in the 2048-bit group.
 MAX_SECRET_EXPONENT = MERSENNE61
 
-# Bits w per exponent digit on the table path.  Measured with 61-bit
+# Bits w per exponent digit of `_table_pow`.  Measured with 61-bit
 # exponents in the 2048-bit group, 31 exponents per base, table builds
 # included (AMD EPYC, Python 3.11): w = 3 takes 0.17-0.18 ms a call, w = 2
 # and 4 about 0.20 ms, w = 5 0.28 ms, and `pow` 0.57 ms.
@@ -65,20 +66,15 @@ class ThresholdError(ValueError):
 
 
 def modexp(base: int, exp: int, modulus: int, tables: dict) -> int:
-    """base^exp mod modulus, bit-identical to pow(base, exp, modulus).
-
-    At a modulus above 64 bits it is evaluated from the powers of base kept
-    in tables, built or extended as needed (`_table_pow`).  Otherwise it is
-    one call of the builtin `pow`, whose square-and-multiply beats a table
-    evaluated in Python at small moduli.  A non-int base or exponent raises
+    """base^exp mod modulus, bit-identical to pow(base, exp, modulus),
+    evaluated from the powers of base kept in tables, built or extended as
+    needed (`_table_pow`).  A non-int base, exponent or modulus raises
     TypeError, as `pow` does."""
     if modulus < 2:
         raise ParameterError("modulus must be >= 2")
     if exp < 0:
         raise ParameterError("exponent must be >= 0")
-    if modulus.bit_length() <= 64:
-        return _powmod(base, exp, modulus)
-    return _table_pow(tables, operator.index(base), operator.index(exp), modulus)
+    return _table_pow(tables, operator.index(base), operator.index(exp), operator.index(modulus))
 
 
 def _table_pow(tables: dict, base: int, exp: int, modulus: int) -> int:

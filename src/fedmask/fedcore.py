@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import aggregators
-from .models import Batch, TinyModel, flatten, forward_trace, per_example_backward, trace_gradient, unflatten
+from .models import Batch, TinyModel, flatten, per_example_backward, sgd_step, unflatten
 from .numeric import ParameterError, Rng, uniform_mask
 
 
@@ -100,19 +100,14 @@ def _step_epsilon(cfg: DpConfig, sampling_rate: float) -> float:
 
 
 def client_update(model: TinyModel, inputs, labels, t_local: int, eta: float, loss: str = "cross_entropy") -> np.ndarray:
-    """Run t_local full-batch SGD steps; return the updated flat weights."""
+    """Run t_local full-batch steps of `models.sgd_step`; return the updated
+    flat weights (read-only, as `flatten` gives them)."""
     if t_local < 1:
         raise ParameterError("t_local must be >= 1")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise ParameterError("client has no data")
     batch = Batch(inputs=inputs, labels=labels)
-    w = flatten(model)
     for _ in range(t_local):
-        current = unflatten(model, w)
-        grad = trace_gradient(current, forward_trace(current, batch.inputs), batch.labels, loss)
-        w = w - eta * grad
-    return w
+        model = sgd_step(model, batch, eta, loss)
+    return flatten(model)
 
 
 def masked_client_update(
@@ -171,10 +166,9 @@ def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):
         current = unflatten(model, w)
         total = np.zeros_like(w)
         for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
-            norm = float(np.linalg.norm(g))
-            if math.isfinite(cfg.clip_threshold):
-                g = g / max(1.0, norm / cfg.clip_threshold)
-            total = total + g
+            # an infinite clip divides by max(1.0, norm / inf) = 1.0, which
+            # leaves g bit for bit, a NaN norm included
+            total = total + g / max(1.0, float(np.linalg.norm(g)) / cfg.clip_threshold)
         if cfg.noise_scale > 0:
             noise = rng.child("noise", t).normal(
                 0.0, cfg.noise_scale * cfg.clip_threshold, w.shape[0]

@@ -152,7 +152,9 @@ class FieldVector:
     DEFAULT_FRAC_BITS fractional bits.  Every field vector uses this one
     field; ``modulus`` and ``frac_bits`` are read-only class constants.
 
-    residues: uint64 array, every entry in [0, p)
+    residues: uint64 array, every entry in [0, p), read-only.  It is stored
+    without a copy and its writeable flag is cleared, so a vector in a
+    delivered message cannot change before its transcript is serialized.
     """
 
     residues: np.ndarray
@@ -165,6 +167,7 @@ class FieldVector:
             raise ParameterError("residues must be 1-D")
         if np.any(r >= _P):
             raise ParameterError("residue out of range [0, p)")
+        r.flags.writeable = False
         object.__setattr__(self, "residues", r)
 
     @property
@@ -240,6 +243,6 @@ def decode_fixed(fv: FieldVector) -> np.ndarray:
     return signed.astype(np.float64) / float(1 << DEFAULT_FRAC_BITS)
 
 
-def clip_for_encoding(v: np.ndarray, limit: float = ENCODE_CLIP) -> np.ndarray:
-    """Clip weights to the documented range before field encoding."""
-    return np.clip(as_vector(v), -limit, limit)
+def clip_for_encoding(v: np.ndarray) -> np.ndarray:
+    """Clip weights to [-ENCODE_CLIP, ENCODE_CLIP] before field encoding."""
+    return np.clip(as_vector(v), -ENCODE_CLIP, ENCODE_CLIP)

@@ -495,7 +495,7 @@ def _server_unmask_aggregate(state: ServerState) -> FieldVector:
 
 @dataclass
 class RoundTranscript:
-    messages: list  # serialized message dicts, deterministic order
+    messages: list  # the delivered message objects, in delivery order; to_jsonl serializes them
     dropouts: dict  # client id -> last round it responded in
     included: tuple  # client ids whose input entered the aggregate (U3)
     aggregate_field: FieldVector | None
@@ -513,7 +513,7 @@ class RoundTranscript:
                 "dropouts": {str(k): v for k, v in self.dropouts.items()},
             }
         )
-        return "\n".join([header] + [json.dumps(m) for m in self.messages])
+        return "\n".join([header] + [json.dumps(serialize_message(m)) for m in self.messages])
 
 
 def _serialize_value(v):
@@ -595,7 +595,7 @@ def run_protocol(
     }
     server = ServerState(k=k, dim=dim, params=params, tables=tables)
 
-    log: list[dict] = []
+    log: list = []
     pending: dict[int, list] = {cid: [] for cid in clients}
 
     for round_no in range(ROUNDS):
@@ -605,7 +605,7 @@ def run_protocol(
                 continue
             state, outbox = client_step(state, pending[cid])
             pending[cid] = []
-            log.extend(serialize_message(m) for m in outbox)
+            log.extend(outbox)
             round_msgs.extend(outbox)
         server, outboxes = server_step(server, round_msgs)
         if server.abort_reason is not None:
@@ -613,7 +613,7 @@ def run_protocol(
         # the SERVER key addresses every client
         for to, msgs in outboxes.items():
             for m in msgs:
-                log.append(serialize_message(m))
+                log.append(m)
                 for cid in clients if to == SERVER else (to,):
                     pending[cid].append(m)
 

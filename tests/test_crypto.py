@@ -161,20 +161,26 @@ def test_modexp_one_tables_dict_across_bases_and_exponents():
     assert len(tables) == 2
 
 
-def test_modexp_small_modulus_ignores_tables():
+@pytest.mark.parametrize("p", [2, 23, TOY_GROUP.prime, 2**61 - 1, 2**64 - 59])
+def test_modexp_small_moduli_use_the_table_path(p):
+    """Moduli of 64 bits or fewer go through the tables too: one entry per
+    base, each result equal to pow."""
+    rng = Rng(4).child("small", p)
+    bases = (0, 1, 2, p - 1, p, p + 3, rng.randbelow(p))
     tables = {}
-    assert modexp(5, 15, 23, tables) == 19
-    assert modexp(3, 2**61 - 2, TOY_GROUP.prime, tables) == pow(3, 2**61 - 2, TOY_GROUP.prime)
-    assert tables == {}
+    for base in bases:
+        for exp in (0, 1) + tuple(rng.randbelow(1 << int(rng.integers(1, 131))) for _ in range(12)):
+            assert modexp(base, exp, p, tables) == pow(base, exp, p)
+    assert set(tables) == {(base, p) for base in bases}
 
 
 @pytest.mark.parametrize("base, exp", [(2.0, 3), ("2", 3), (2, 3.0), (2, "3"), (None, 3)])
 def test_modexp_table_path_rejects_non_ints_as_pow_does(base, exp):
-    p = RFC3526_2048.prime
-    with pytest.raises(TypeError):
-        pow(base, exp, p)
-    with pytest.raises(TypeError):
-        modexp(base, exp, p, {})
+    for p in (RFC3526_2048.prime, TOY_GROUP.prime):
+        with pytest.raises(TypeError):
+            pow(base, exp, p)
+        with pytest.raises(TypeError):
+            modexp(base, exp, p, {})
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,8 @@ def test_client_update_validation():
         client_update(model, inputs, labels, t_local=0, eta=0.1)
     with pytest.raises(ParameterError):
         client_update(model, inputs[:0], labels[:0], t_local=1, eta=0.1)
+    with pytest.raises(ParameterError, match="eta"):
+        client_update(model, inputs, labels, t_local=1, eta=-0.1)
 
 
 def test_masked_update_alpha_zero_equals_plain():

@@ -297,6 +297,20 @@ def test_field_vector_validation():
         FieldVector(np.zeros(2, dtype=np.uint64), 8380417)
 
 
+def test_field_vectors_are_read_only():
+    """Residues are stored without a copy and cannot be written in place, so a
+    delivered vector stays as it was sent until its transcript is written."""
+    r = np.arange(4, dtype=np.uint64)
+    fv = FieldVector(r)
+    assert fv.residues is r
+    a, b = encode_fixed(np.array([1.0, -2.0])), field_reduce(np.array([2**64 - 1, 5], dtype=np.uint64))
+    for v in (fv, a, b, field_zero(2), field_add(a, b), field_sub(a, b)):
+        with pytest.raises(ValueError, match="read-only"):
+            v.residues[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            v.residues += np.uint64(1)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------

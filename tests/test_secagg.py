@@ -314,9 +314,9 @@ def sweep_tampered_share_bundle(monkeypatch, k):
     deliver_with(monkeypatch, tamper)
     inputs = random_inputs(4, 4, seed=17)
     clean = run_protocol(inputs, k, seed=17, params=TOY_GROUP).transcript
-    (shares,) = [m for m in clean.messages if m["type"] == "KeyShares" and m["sender"] == 0]
+    (shares,) = [m for m in clean.messages if type(m).__name__ == "KeyShares" and m.sender == 0]
     transcripts = []
-    for pos in range(len(bytes.fromhex(shares["bundles"]["2"]))):
+    for pos in range(len(shares.bundles[2])):
         transcripts.append(run_protocol(inputs, k, seed=17, params=TOY_GROUP).transcript)
     return inputs, transcripts
 
@@ -430,6 +430,25 @@ def test_transcript_header_schema():
         assert "type" in msg
 
 
+def test_transcript_serializes_messages_only_in_to_jsonl(monkeypatch):
+    """A round keeps the delivered message objects and serializes none;
+    to_jsonl serializes each once, and every line is the message's dict."""
+    calls = []
+    original = secagg.serialize_message
+
+    def counted(msg):
+        calls.append(msg)
+        return original(msg)
+
+    monkeypatch.setattr(secagg, "serialize_message", counted)
+    t = run_protocol(random_inputs(4, 3, seed=18), k=3, seed=18, dropout_after={3: 1}, params=TOY_GROUP).transcript
+    assert calls == []
+    lines = t.to_jsonl().splitlines()[1:]
+    assert len(calls) == len(t.messages) == len(lines)
+    assert all(a is b for a, b in zip(calls, t.messages))
+    assert lines == [json.dumps(original(m)) for m in t.messages]
+
+
 def test_transcript_message_round_tags_monotone_per_sender():
     t = run_protocol(random_inputs(3, 3, seed=15), k=2, seed=15, params=TOY_GROUP).transcript
     last_round = {}
@@ -459,7 +478,7 @@ def test_message_counts_match_closed_forms(n, dropout):
     u1, u2, u3 = responding(0), responding(1), responding(2)
     by_type = {}
     for m in t.messages:
-        by_type.setdefault(m["type"], []).append(m)
+        by_type.setdefault(type(m).__name__, []).append(m)
     assert {kind: len(msgs) for kind, msgs in by_type.items()} == {
         "KeyAdvert": len(u1),
         "RosterBroadcast": 1,
@@ -471,8 +490,8 @@ def test_message_counts_match_closed_forms(n, dropout):
         "UnmaskRequest": 1,
         "UnmaskShares": len(responding(4)),
     }
-    assert all(len(m["bundles"]) == len(u1) - 1 for m in by_type["KeyShares"])
-    assert all(len(m["bundles"]) == len(u2) - 1 for m in by_type["ShareDelivery"])
+    assert all(len(m.bundles) == len(u1) - 1 for m in by_type["KeyShares"])
+    assert all(len(m.bundles) == len(u2) - 1 for m in by_type["ShareDelivery"])
 
 
 @pytest.mark.parametrize("n, d", [(4, 0), (5, 1), (6, 2)])
