@@ -14,7 +14,7 @@ from .data import mixture_means
 from .models import (
     Batch,
     TinyModel,
-    flatten,
+    _layers,
     forward_batch,
     forward_trace,
     input_gradient,
@@ -23,9 +23,8 @@ from .models import (
     per_example_backward,
     softmax,
     trace_gradient,
-    unflatten,
 )
-from .numeric import ParameterError, Rng, uniform_mask
+from .numeric import ParameterError, Rng, as_vector, uniform_mask
 
 # Mask level at which gradient-matching reconstruction fails on every seed at
 # desk scale; acceptance criterion 06 checks it on seeds 0-9 of the
@@ -244,33 +243,46 @@ class GanReport:
     samples: np.ndarray
 
 
+class _Weights:
+    """A network under GAN training: its own writable ``params`` vector,
+    updated in place, and the ``TinyModel`` attributes ``forward_trace``,
+    ``trace_gradient`` and ``input_gradient`` read.  ``layers`` are views of
+    ``params``, so the next trace sees each update."""
+
+    def __init__(self, model, params: np.ndarray):
+        self.sizes, self.activation, self.params = model.sizes, model.activation, params
+        self.layers = _layers(model.sizes, params)
+        self.input_dim, self.param_count = model.sizes[0], params.shape[0]
+
+
 def _gen_noise(rng: Rng, n: int, dim: int) -> np.ndarray:
     return rng.normal(0.0, 1.0, n * dim).reshape(n, dim)
 
 
-def _d_step(d: TinyModel, real: np.ndarray, fake: np.ndarray, labels: np.ndarray, eta: float, clip: float) -> TinyModel:
-    """One discriminator update, real examples toward 1 and fake toward 0
-    (``labels`` holds those targets, real rows first), with the weights
-    clipped to [-clip, clip] afterwards."""
+def _d_step(d: _Weights, real: np.ndarray, fake: np.ndarray, labels: np.ndarray, eta: float, clip: float) -> None:
+    """One discriminator update in place, real examples toward 1 and fake
+    toward 0 (``labels`` holds those targets, real rows first), with the
+    weights clipped to [-clip, clip] afterwards; non-finite weights raise."""
     grad = trace_gradient(d, forward_trace(d, np.concatenate((real, fake))), labels, "mse")
-    return unflatten(d, np.clip(flatten(d) - eta * grad, -clip, clip))
+    as_vector(np.clip(d.params - eta * grad, -clip, clip, out=d.params))
 
 
-def _g_loss(d: TinyModel, fake: np.ndarray) -> float:
+def _g_loss(d: _Weights, fake: np.ndarray) -> float:
     score = forward_batch(d, fake)
     return 0.5 * float(np.mean((score - 1.0) ** 2))
 
 
-def _g_step(g: TinyModel, d_for_signal: TinyModel, g_trace, goal: np.ndarray, eta: float) -> TinyModel:
-    """One generator update pushing d(G(z)) toward ``goal``, the real label;
-    ``g_trace`` is the forward trace of G(z)."""
+def _g_step(g: _Weights, d_for_signal: _Weights, g_trace, goal: np.ndarray, eta: float) -> None:
+    """One generator update in place pushing d(G(z)) toward ``goal``, the
+    real label; ``g_trace`` is the forward trace of G(z).  Non-finite
+    weights raise."""
     fake = g_trace[1][-1]
     # upstream gradient through the discriminator at the generated points
     up = input_gradient(d_for_signal, forward_trace(d_for_signal, fake), goal, "mse")
     # surrogate targets make the generator's own backprop consume `up`
     targets = fake - fake.shape[0] * up
     grad = trace_gradient(g, g_trace, targets, "mse")
-    return unflatten(g, flatten(g) - eta * grad)
+    as_vector(np.subtract(g.params, eta * grad, out=g.params))
 
 
 def mode_distance(samples: np.ndarray) -> float:
@@ -294,11 +306,16 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
 
     Non-convergence is declared when the post-warmup mean of that trace
     never falls materially (0.01) below the initial 10-epoch average.
+
+    Both networks train in place on private writable copies of the pair's
+    parameters, so ``pair`` is left untouched; a step whose update is not
+    finite raises ``ParameterError``.
     """
     if mode not in GAN_MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     rng = Rng(seed).child("gan", mode)
-    g, d = pair.generator, pair.discriminator
+    g = _Weights(pair.generator, np.array(pair.generator.params))
+    d = _Weights(pair.discriminator, np.array(pair.discriminator.params))
     real_data = np.asarray(real_data, dtype=np.float64)
     if real_data.ndim != 2 or real_data.shape[0] < 1 or real_data.shape[1] != d.input_dim:
         raise ParameterError(f"real_data must be a nonempty (n, {d.input_dim}) array, got shape {real_data.shape}")
@@ -317,15 +334,15 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
         for _ in range(schedule.pretrain_epochs * schedule.steps_per_epoch):
             idx = pre_rng.integers(0, n_real, n_batch)
             fake = forward_batch(g, _gen_noise(pre_rng, B, zdim))
-            d = _d_step(d, real_data[idx], fake, d_labels, schedule.pretrain_eta, schedule.d_clip)
+            _d_step(d, real_data[idx], fake, d_labels, schedule.pretrain_eta, schedule.d_clip)
         frozen = True
 
     trace = []
     diverged = False
+    srng = Rng(seed)
     for epoch in range(schedule.epochs):
         if mode == "masked":
-            w = flatten(d)
-            signal_d = unflatten(d, w + uniform_mask(w.shape[0], schedule.alpha, rng.child("mask", epoch)))
+            signal_d = _Weights(d, d.params + uniform_mask(d.param_count, schedule.alpha, rng.child("mask", epoch)))
         else:
             signal_d = d
         probe = forward_batch(g, _gen_noise(rng.child("probe", epoch), 500, zdim))
@@ -335,15 +352,13 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
             break
         trace.append(loss)
         for step in range(schedule.steps_per_epoch):
-            srng = rng.child("step", epoch, step)
+            srng.restart(*rng.path, "step", epoch, step)
             idx = srng.integers(0, n_real, n_batch)
             g_trace = forward_trace(g, _gen_noise(srng, B, zdim))
             fake = g_trace[1][-1]
             if not frozen:
-                d = _d_step(d, real_data[idx], fake, d_labels, schedule.eta_d, schedule.d_clip)
-                if mode != "masked":
-                    signal_d = d
-            g = _g_step(g, signal_d, g_trace, g_goal, schedule.eta_g)
+                _d_step(d, real_data[idx], fake, d_labels, schedule.eta_d, schedule.d_clip)
+            _g_step(g, signal_d, g_trace, g_goal, schedule.eta_g)
 
     samples = forward_batch(g, _gen_noise(rng.child("eval"), 500, zdim))
     initial = float(np.mean(trace[:10])) if len(trace) >= 10 else float("inf")

@@ -1,11 +1,10 @@
-"""Bundled synthetic task generators: XOR, 8x8 glyph classification, 2-D
+"""Bundled synthetic task generators: 8x8 glyph classification, 2-D
 Gaussian mixtures, and token corpora for the bigram language model."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models import Batch
 from .numeric import ParameterError, Rng
 
 GLYPH_CLASSES = 10
@@ -14,12 +13,6 @@ GLYPH_DIM = 64  # 8x8 images, flattened
 # Prototypes are fixed (independent of caller seeds) so every experiment sees
 # the same ten glyph shapes.
 _PROTO_SEED = 0x67_6C_79_70
-
-
-def xor_batch() -> Batch:
-    inputs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    labels = np.array([0, 1, 1, 0])
-    return Batch(inputs=inputs, labels=labels)
 
 
 def glyph_prototypes() -> np.ndarray:

@@ -184,23 +184,3 @@ def masked_dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, alpha: float,
     w, ledger = dp_sgd(model, inputs, labels, cfg, rng)
     return w + uniform_mask(w.shape[0], alpha, rng.child("final-mask")), ledger
 
-
-def sgd_loop(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng) -> np.ndarray:
-    """Plain SGD with the same sampling and 1/h scaling but no clip or noise.
-
-    dp_sgd with noise_scale=0 and an infinite clip threshold must reproduce
-    this trajectory bit-exactly on the same seed.
-    """
-    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
-    n = inputs.shape[0]
-    w = flatten(model)
-    for t in range(cfg.steps):
-        idx = _sample_group(n, cfg, rng, t)
-        if idx.size == 0:
-            continue
-        current = unflatten(model, w)
-        total = np.zeros_like(w)
-        for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
-            total = total + g
-        w = w - cfg.eta * (total / cfg.group_size)
-    return w

@@ -47,7 +47,9 @@ class Rng:
     A stream is identified by a 64-bit root seed plus a path of string tags.
     ``child(tag)`` derives an independent stream whose output depends only on
     (seed, path), so two protocol parties that agree on the path derive
-    identical values.  Instances are single-owner: never share one across
+    identical values.  ``restart(*path)`` moves an instance to the start of
+    another path's stream in place, for a loop that would otherwise build a
+    child per iteration.  Instances are single-owner: never share one across
     threads; split children instead.
     """
 
@@ -62,6 +64,22 @@ class Rng:
     def child(self, *tags) -> "Rng":
         """Derive an independent child stream addressed by string tags."""
         return Rng(self.seed, self.path + tuple(str(t) for t in tags))
+
+    def restart(self, *path) -> None:
+        """Continue from the start of ``Rng(self.seed, path)``'s stream:
+        the same draws follow as from that fresh instance, whatever this one
+        drew before, and no Philox is built."""
+        self.path = tuple(str(t) for t in path)
+        high, low = divmod(_derive_key(self.seed, self.path), 1 << 64)
+        # a fresh Philox: zero counter, empty buffer, no cached 32-bit half
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [low, high]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
         return self._gen.uniform(low, high, size)

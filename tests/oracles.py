@@ -1,0 +1,35 @@
+"""Reference code and fixtures shared by several test modules; nothing in
+``fedmask`` calls them."""
+
+import numpy as np
+
+from fedmask.fedcore import DpConfig, _sample_group
+from fedmask.models import Batch, TinyModel, flatten, per_example_backward, unflatten
+from fedmask.numeric import Rng
+
+
+def xor_batch() -> Batch:
+    inputs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    labels = np.array([0, 1, 1, 0])
+    return Batch(inputs=inputs, labels=labels)
+
+
+def sgd_loop(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng) -> np.ndarray:
+    """Plain SGD with the same sampling and 1/h scaling but no clip or noise.
+
+    dp_sgd with noise_scale=0 and an infinite clip threshold must reproduce
+    this trajectory bit-exactly on the same seed.
+    """
+    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
+    n = inputs.shape[0]
+    w = flatten(model)
+    for t in range(cfg.steps):
+        idx = _sample_group(n, cfg, rng, t)
+        if idx.size == 0:
+            continue
+        current = unflatten(model, w)
+        total = np.zeros_like(w)
+        for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
+            total = total + g
+        w = w - cfg.eta * (total / cfg.group_size)
+    return w

@@ -30,7 +30,7 @@ from fedmask.attacks import (
 )
 from fedmask.crypto import TOY_GROUP, shamir_split
 from fedmask.data import make_gaussian_mixture, make_glyphs, make_token_corpus
-from fedmask.fedcore import DpConfig, _sample_group, dp_sgd, sgd_loop
+from fedmask.fedcore import DpConfig, _sample_group, dp_sgd
 from fedmask.harness import (
     alpha_sweep,
     attack_battery,
@@ -43,6 +43,7 @@ from fedmask.harness import (
 from fedmask.models import Batch, backward, flatten, init_model, per_example_backward, train_bigram, unflatten
 from fedmask.numeric import Rng, encode_fixed, field_sum, uniform_mask, vec_mean
 from fedmask.secagg import run_protocol
+from oracles import sgd_loop
 
 
 def report(num, label, elapsed, budget):

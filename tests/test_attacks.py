@@ -372,6 +372,35 @@ def test_gan_attack_calls_no_backward_batch_or_choice(monkeypatch, mode):
     assert calls == []
 
 
+@pytest.mark.parametrize("network", ["generator", "discriminator"])
+@pytest.mark.parametrize("mode", GAN_MODES)
+def test_gan_attack_non_finite_update_raises(monkeypatch, mode, network):
+    """A NaN gradient for either network makes its updated weights
+    non-finite, which raises ParameterError in every mode."""
+    pair = default_gan_pair(0)
+    sizes = getattr(pair, network).sizes
+    traced = attacks.trace_gradient
+
+    def nan_for_one_network(model, trace, labels, loss):
+        grad = traced(model, trace, labels, loss)
+        return np.full_like(grad, np.nan) if model.sizes == sizes else grad
+
+    monkeypatch.setattr(attacks, "trace_gradient", nan_for_one_network)
+    real, _ = make_gaussian_mixture(128, Rng(0).child("real"))
+    with pytest.raises(ParameterError, match="non-finite"):
+        gan_attack(pair, real, GanSchedule(epochs=11, steps_per_epoch=3), mode=mode)
+
+
+@pytest.mark.parametrize("mode", GAN_MODES)
+def test_gan_attack_leaves_the_pair_unchanged(mode):
+    pair = default_gan_pair(0)
+    g, d = pair.generator.params.copy(), pair.discriminator.params.copy()
+    real, _ = make_gaussian_mixture(128, Rng(0).child("real"))
+    gan_attack(pair, real, GanSchedule(epochs=11, steps_per_epoch=3), mode=mode)
+    assert np.array_equal(pair.generator.params, g) and np.array_equal(pair.discriminator.params, d)
+    assert not pair.generator.params.flags.writeable and not pair.discriminator.params.flags.writeable
+
+
 def test_mia_attack_traces_once_per_cost_evaluation(monkeypatch):
     """The cost's probabilities and its input gradient share one trace: T = 50
     descent steps and the start point make 51 cost evaluations."""

@@ -12,9 +12,9 @@ from fedmask.data import (
     make_token_corpus,
     mixture_means,
     partition,
-    xor_batch,
 )
 from fedmask.numeric import ParameterError, Rng
+from oracles import xor_batch
 
 
 def test_xor_batch_truth_table():

@@ -17,10 +17,10 @@ from fedmask.fedcore import (
     masked_client_update,
     masked_dp_sgd,
     run_fedavg,
-    sgd_loop,
 )
 from fedmask.models import Batch, accuracy, backward, flatten, init_model, per_example_backward, unflatten
 from fedmask.numeric import ParameterError, Rng, vec_mean
+from oracles import sgd_loop
 
 
 def glyph_setup(seed=0, n_per_class=5):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmask.data import xor_batch
 from fedmask.models import (
     ACTIVATIONS,
     Batch,
@@ -29,6 +28,7 @@ from fedmask.models import (
     unflatten,
 )
 from fedmask.numeric import ParameterError, Rng
+from oracles import xor_batch
 
 # Layer configurations exercised by the gradient-correctness matrix.
 LAYER_MATRIX = [
