@@ -433,6 +433,20 @@ def test_gan_and_model_inversion_known_answer():
     assert h.hexdigest()[:16] == "56d397840138fd61"
 
 
+def test_gan_known_answer_with_fewer_real_points_than_a_batch():
+    # 40 real points under a 64-sample batch: the discriminator trains on
+    # 40 + 64 rows; the digest was computed before the step was buffered
+    real, _ = make_gaussian_mixture(40, Rng(0).child("real"))
+    schedule = GanSchedule(epochs=11, steps_per_epoch=3)
+    h = hashlib.sha256()
+    for mode in GAN_MODES:
+        report = gan_attack(default_gan_pair(0), real, schedule, mode=mode)
+        assert len(report.loss_trace) == 11 and not report.diverged
+        h.update(np.asarray(report.loss_trace, dtype=np.float64).tobytes())
+        h.update(report.samples.tobytes())
+    assert h.hexdigest()[:16] == "2ab5658c05cf281c"
+
+
 def test_mode_distance_zero_at_means():
     assert mode_distance(mixture_means()) == 0.0
 
