@@ -14,7 +14,11 @@ from .data import mixture_means
 from .models import (
     Batch,
     TinyModel,
+    _backprop,
+    _forward,
     _layers,
+    _param_gradient,
+    _trace_buffers,
     forward_batch,
     forward_trace,
     input_gradient,
@@ -245,26 +249,60 @@ class GanReport:
 
 class _Weights:
     """A network under GAN training: its own writable ``params`` vector,
-    updated in place, and the ``TinyModel`` attributes ``forward_trace``,
-    ``trace_gradient`` and ``input_gradient`` read.  ``layers`` are views of
-    ``params``, so the next trace sees each update."""
+    updated in place, and the ``TinyModel`` attributes ``forward_trace``
+    reads.  ``layers`` are views of ``params``, so the next pass sees each
+    update; ``grad`` is the network's gradient vector, written through its
+    ``grad_layers`` views."""
 
     def __init__(self, model, params: np.ndarray):
         self.sizes, self.activation, self.params = model.sizes, model.activation, params
         self.layers = _layers(model.sizes, params)
+        self.grad = np.empty_like(params)
+        self.grad_layers = _layers(model.sizes, self.grad)
         self.input_dim, self.param_count = model.sizes[0], params.shape[0]
+
+
+class _Pass:
+    """Buffers for a forward and backward pass of the network ``net`` over
+    fixed rows: the trace ``pre``/``acts``, whose ``acts[0]`` holds the
+    inputs and whose output is ``out`` if given, and the ``deltas`` with
+    their ``scratch``."""
+
+    def __init__(self, net: _Weights, x: np.ndarray, out: np.ndarray | None = None):
+        self.net = net
+        self.pre, self.acts = _trace_buffers(net.sizes, net.activation, x, out)
+        self.deltas = [np.empty_like(z) for z in self.pre]
+        self.scratch = [np.empty_like(z) for z in self.pre]
+
+    def forward(self) -> None:
+        _forward(self.net.layers, self.net.activation, self.pre, self.acts)
+
+    def backprop_mse(self, targets: np.ndarray) -> None:
+        """Deltas of the batch-averaged mse loss of the traced outputs."""
+        dout = self.deltas[-1]
+        np.subtract(self.acts[-1], targets, out=dout)
+        np.divide(dout, dout.shape[0], out=dout)
+        _backprop(self.net.layers, self.net.activation, self.pre, self.acts, self.deltas, self.scratch)
+
+    def gradient(self) -> np.ndarray:
+        """The network's parameter gradient, written into its ``grad``."""
+        _param_gradient(self.acts, self.deltas, self.net.grad_layers)
+        return self.net.grad
 
 
 def _gen_noise(rng: Rng, n: int, dim: int) -> np.ndarray:
     return rng.normal(0.0, 1.0, n * dim).reshape(n, dim)
 
 
-def _d_step(d: _Weights, real: np.ndarray, fake: np.ndarray, labels: np.ndarray, eta: float, clip: float) -> None:
-    """One discriminator update in place, real examples toward 1 and fake
-    toward 0 (``labels`` holds those targets, real rows first), with the
-    weights clipped to [-clip, clip] afterwards; non-finite weights raise."""
-    grad = trace_gradient(d, forward_trace(d, np.concatenate((real, fake))), labels, "mse")
-    as_vector(np.clip(d.params - eta * grad, -clip, clip, out=d.params))
+def _d_step(p: _Pass, labels: np.ndarray, eta: float, clip: float) -> None:
+    """One discriminator update in place over the rows in ``p``'s inputs,
+    real examples toward 1 and fake toward 0 (``labels`` holds those
+    targets, real rows first), with the weights clipped to [-clip, clip]
+    afterwards; non-finite weights raise."""
+    p.forward()
+    p.backprop_mse(labels)
+    d = p.net
+    as_vector(np.clip(d.params - eta * p.gradient(), -clip, clip, out=d.params))
 
 
 def _g_loss(d: _Weights, fake: np.ndarray) -> float:
@@ -272,17 +310,21 @@ def _g_loss(d: _Weights, fake: np.ndarray) -> float:
     return 0.5 * float(np.mean((score - 1.0) ** 2))
 
 
-def _g_step(g: _Weights, d_for_signal: _Weights, g_trace, goal: np.ndarray, eta: float) -> None:
+def _g_step(gp: _Pass, sp: _Pass, goal: np.ndarray, up: np.ndarray, eta: float) -> None:
     """One generator update in place pushing d(G(z)) toward ``goal``, the
-    real label; ``g_trace`` is the forward trace of G(z).  Non-finite
-    weights raise."""
-    fake = g_trace[1][-1]
+    real label; ``gp`` holds the trace of G(z), whose output rows are the
+    inputs of the signal discriminator's pass ``sp``, and ``up`` takes the
+    upstream gradient.  Non-finite weights raise."""
+    fake = gp.acts[-1]
     # upstream gradient through the discriminator at the generated points
-    up = input_gradient(d_for_signal, forward_trace(d_for_signal, fake), goal, "mse")
+    sp.forward()
+    sp.backprop_mse(goal)
+    np.matmul(sp.deltas[0], sp.net.layers[0][0].T, out=up)
     # surrogate targets make the generator's own backprop consume `up`
-    targets = fake - fake.shape[0] * up
-    grad = trace_gradient(g, g_trace, targets, "mse")
-    as_vector(np.subtract(g.params, eta * grad, out=g.params))
+    targets = np.subtract(fake, np.multiply(fake.shape[0], up, out=up), out=up)
+    gp.backprop_mse(targets)
+    g = gp.net
+    as_vector(np.subtract(g.params, eta * gp.gradient(), out=g.params))
 
 
 def mode_distance(samples: np.ndarray) -> float:
@@ -309,7 +351,8 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
 
     Both networks train in place on private writable copies of the pair's
     parameters, so ``pair`` is left untouched; a step whose update is not
-    finite raises ``ParameterError``.
+    finite raises ``ParameterError``.  Every step runs the ``models``
+    kernels on trace, delta and gradient buffers allocated once per attack.
     """
     if mode not in GAN_MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -327,14 +370,25 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
     n_batch = min(B, n_real)
     d_labels = np.vstack([np.ones((n_batch, 1)), np.zeros((B, 1))])
     g_goal = np.ones((B, 1))
+    # one step's discriminator inputs: sampled real rows, then G's output rows
+    d_in = np.empty((n_batch + B, d.input_dim))
+    real, fake = d_in[:n_batch], d_in[n_batch:]
+    signal_d = _Weights(d, np.empty_like(d.params)) if mode == "masked" else d
+    g_pass, d_pass, signal_pass = _Pass(g, np.empty((B, zdim)), out=fake), _Pass(d, d_in), _Pass(signal_d, fake)
+    up = np.empty_like(fake)
+
+    def draw(r: Rng) -> None:
+        """Sample a real batch and trace G on fresh noise, both from ``r``."""
+        np.take(real_data, r.integers(0, n_real, n_batch), axis=0, out=real)
+        g_pass.acts[0] = _gen_noise(r, B, zdim)
+        g_pass.forward()
 
     frozen = False
     if mode == "pretrained":
         pre_rng = rng.child("pretrain")
         for _ in range(schedule.pretrain_epochs * schedule.steps_per_epoch):
-            idx = pre_rng.integers(0, n_real, n_batch)
-            fake = forward_batch(g, _gen_noise(pre_rng, B, zdim))
-            _d_step(d, real_data[idx], fake, d_labels, schedule.pretrain_eta, schedule.d_clip)
+            draw(pre_rng)
+            _d_step(d_pass, d_labels, schedule.pretrain_eta, schedule.d_clip)
         frozen = True
 
     trace = []
@@ -342,9 +396,7 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
     srng = Rng(seed)
     for epoch in range(schedule.epochs):
         if mode == "masked":
-            signal_d = _Weights(d, d.params + uniform_mask(d.param_count, schedule.alpha, rng.child("mask", epoch)))
-        else:
-            signal_d = d
+            np.add(d.params, uniform_mask(d.param_count, schedule.alpha, rng.child("mask", epoch)), out=signal_d.params)
         probe = forward_batch(g, _gen_noise(rng.child("probe", epoch), 500, zdim))
         loss = _g_loss(d, probe)
         if not np.isfinite(loss):
@@ -353,12 +405,10 @@ def gan_attack(pair: GanPair, real_data: np.ndarray, schedule: GanSchedule, mode
         trace.append(loss)
         for step in range(schedule.steps_per_epoch):
             srng.restart(*rng.path, "step", epoch, step)
-            idx = srng.integers(0, n_real, n_batch)
-            g_trace = forward_trace(g, _gen_noise(srng, B, zdim))
-            fake = g_trace[1][-1]
+            draw(srng)
             if not frozen:
-                _d_step(d, real_data[idx], fake, d_labels, schedule.eta_d, schedule.d_clip)
-            _g_step(g, signal_d, g_trace, g_goal, schedule.eta_g)
+                _d_step(d_pass, d_labels, schedule.eta_d, schedule.d_clip)
+            _g_step(g_pass, signal_pass, g_goal, up, schedule.eta_g)
 
     samples = forward_batch(g, _gen_noise(rng.child("eval"), 500, zdim))
     initial = float(np.mean(trace[:10])) if len(trace) >= 10 else float("inf")

@@ -17,19 +17,31 @@ from .numeric import ParameterError, Rng, as_vector
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh", "identity")
 
+# Activations and their derivatives, written into ``out`` (allocated when
+# None) and returned.  Under identity theta(z) is z itself, and theta' = 1,
+# whose product is skipped.
+
+
+def _sigmoid(z, out):
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 _ACT = {
-    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-    "relu": lambda z: np.maximum(z, 0.0),
+    "sigmoid": _sigmoid,
+    "relu": lambda z, out: np.maximum(z, 0.0, out=out),
     "tanh": np.tanh,
-    "identity": lambda z: z,
+    "identity": lambda z, out: z,
 }
 
+# derivatives expressed in terms of the activation output a = theta(z)
 _ACT_DERIV = {
-    # derivatives expressed in terms of the activation output a = theta(z)
-    "sigmoid": lambda a, z: a * (1.0 - a),
-    "relu": lambda a, z: (z > 0.0).astype(np.float64),
-    "tanh": lambda a, z: 1.0 - a * a,
-    "identity": lambda a, z: np.ones_like(z),
+    "sigmoid": lambda a, z, out: np.multiply(a, np.subtract(1.0, a, out=out), out=out),
+    "relu": lambda a, z, out: np.greater(z, 0.0, out=out),
+    "tanh": lambda a, z, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out),
+    "identity": None,
 }
 
 
@@ -129,7 +141,7 @@ class Batch:
         if x.ndim != 2 or x.shape[0] < 1:
             raise ParameterError("inputs must be a nonempty (B, din) array")
         y = np.asarray(self.labels)
-        if y.shape[0] != x.shape[0]:
+        if y.shape[:1] != x.shape[:1]:
             raise ParameterError("label count must match input count")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y)
@@ -154,6 +166,57 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
+# The three kernels below are the only layer recursions.  Each writes into
+# the arrays it is given, and allocates (through the ufunc) any given as
+# None: the allocating functions after them (forward_trace, trace_gradient,
+# input_gradient, per_example_backward) validate and pass None, and the GAN
+# attack passes buffers it allocates once per attack.
+
+
+def _trace_buffers(sizes, activation: str, x: np.ndarray, out: np.ndarray | None = None):
+    """Unfilled ``(pre, acts)`` for a forward pass over the rows ``x``:
+    ``acts[0]`` is ``x``; under identity each activation is its layer's
+    pre-activation array.  ``out``, if given, becomes the output ``acts[-1]``."""
+    pre, acts = [], [x]
+    for fan_out in sizes[1:]:
+        pre.append(np.empty((x.shape[0], fan_out)))
+        acts.append(pre[-1] if activation == "identity" else np.empty_like(pre[-1]))
+    if out is not None:
+        acts[-1] = out
+        if activation == "identity":
+            pre[-1] = out
+    return pre, acts
+
+
+def _forward(layers, activation: str, pre, acts) -> None:
+    """Fill ``pre`` and ``acts[1:]`` layer by layer from the inputs ``acts[0]``."""
+    act = _ACT[activation]
+    for i, (w, b) in enumerate(layers):
+        z = pre[i] = np.matmul(acts[i], w, out=pre[i])
+        np.add(z, b, out=z)
+        acts[i + 1] = act(z, acts[i + 1])
+
+
+def _backprop(layers, activation: str, pre, acts, deltas, scratch) -> None:
+    """Turn the output deltas held in ``deltas[-1]`` into each layer's delta
+    dL/dz, first layer first; ``scratch`` takes each activation derivative."""
+    deriv = _ACT_DERIV[activation]
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            deltas[i] = np.matmul(deltas[i + 1], layers[i + 1][0].T, out=deltas[i])
+        if deriv is not None:
+            scratch[i] = deriv(acts[i + 1], pre[i], scratch[i])
+            np.multiply(deltas[i], scratch[i], out=deltas[i])
+
+
+def _param_gradient(acts, deltas, grad_layers) -> None:
+    """Write the parameter gradient of the loss whose deltas are ``deltas``
+    into the per-layer ``(w, b)`` views ``grad_layers``."""
+    for a, delta, (grad_w, grad_b) in zip(acts, deltas, grad_layers):
+        np.matmul(a.T, delta, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
+
+
 def forward_trace(model: TinyModel, X: np.ndarray):
     """Pre-activations and activations (inputs first) of every layer: the
     ``(pre, acts)`` pair that ``trace_gradient`` differentiates, and whose
@@ -161,13 +224,10 @@ def forward_trace(model: TinyModel, X: np.ndarray):
     a = np.asarray(X, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != model.input_dim:
         raise ParameterError("inputs must be (B, din) matching the model")
-    act = _ACT[model.activation]
-    pre, activations = [], [a]
-    for w, b in model.layers:
-        pre.append(a @ w + b)
-        a = act(pre[-1])
-        activations.append(a)
-    return pre, activations
+    n = len(model.sizes) - 1
+    pre, acts = [None] * n, [a] + [None] * n
+    _forward(model.layers, model.activation, pre, acts)
+    return pre, acts
 
 
 def _output_delta(out: np.ndarray, labels, loss: str) -> np.ndarray:
@@ -179,11 +239,13 @@ def _output_delta(out: np.ndarray, labels, loss: str) -> np.ndarray:
             raise ParameterError("mse targets must match output shape")
         return out - targets
     if loss == "cross_entropy":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if labels.shape != out.shape[:1]:
             raise ParameterError("cross_entropy labels must be one class index per output row")
+        if not np.all((labels >= 0) & (labels < out.shape[1]) & (np.floor(labels) == labels)):
+            raise ParameterError(f"cross_entropy labels must be integers in [0, {out.shape[1]})")
         probs = softmax(out)
-        probs[np.arange(out.shape[0]), labels] -= 1.0
+        probs[np.arange(out.shape[0]), labels.astype(np.int64)] -= 1.0
         return probs
     raise ParameterError(f"unknown loss {loss!r}")
 
@@ -199,12 +261,11 @@ def _loss_sum(out: np.ndarray, labels, loss: str) -> float:
 
 def _deltas(model: TinyModel, pre, acts, dout: np.ndarray) -> list[np.ndarray]:
     """Each layer's delta dL/dz, first layer first, backpropagated from the
-    output deltas ``dout``."""
-    deriv, layers = _ACT_DERIV[model.activation], model.layers
-    deltas = [dout * deriv(acts[-1], pre[-1])]
-    for layer in range(len(layers) - 1, 0, -1):
-        deltas.append((deltas[-1] @ layers[layer][0].T) * deriv(acts[layer], pre[layer - 1]))
-    return deltas[::-1]
+    output deltas ``dout``, which becomes the last of them."""
+    n = len(pre)
+    deltas = [None] * (n - 1) + [dout]
+    _backprop(model.layers, model.activation, pre, acts, deltas, [None] * n)
+    return deltas
 
 
 def _averaged_deltas(model: TinyModel, trace, labels, loss: str) -> list[np.ndarray]:
@@ -218,9 +279,7 @@ def trace_gradient(model: TinyModel, trace, labels, loss: str) -> np.ndarray:
     from a ``forward_trace`` of the batch inputs; the loss is not formed."""
     deltas = _averaged_deltas(model, trace, labels, loss)
     grad = np.empty(model.param_count)
-    for a, delta, (grad_w, grad_b) in zip(trace[1], deltas, _layers(model.sizes, grad)):
-        np.matmul(a.T, delta, out=grad_w)
-        np.add.reduce(delta, axis=0, out=grad_b)
+    _param_gradient(trace[1], deltas, _layers(model.sizes, grad))
     return grad
 
 

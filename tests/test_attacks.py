@@ -324,20 +324,21 @@ def test_gan_attack_rejects_malformed_real_data(real):
 
 @pytest.mark.parametrize("mode", GAN_MODES)
 def test_gan_attack_forward_trace_count(monkeypatch, mode):
-    """Per step one trace of G(z), which the discriminator update and the
-    generator's own gradient share, one of D for its update (unless frozen)
-    and one of the signal D for the generator's upstream gradient; per epoch
-    one probe of G and one of D for the recorded loss; one final sample of
-    G.  A pretrained head start adds a trace of G and one of D per step."""
+    """Per step one forward pass of G(z), which the discriminator update and
+    the generator's own gradient share, one of D for its update (unless
+    frozen) and one of the signal D for the generator's upstream gradient;
+    per epoch one probe of G and one of D for the recorded loss; one final
+    sample of G.  A pretrained head start adds a pass of G and one of D per
+    step.  Every pass, buffered or allocating, runs the one forward kernel."""
     calls = []
-    traced = models.forward_trace
+    kernel = models._forward
 
-    def counting(model, X):
-        calls.append(model.sizes)
-        return traced(model, X)
+    def counting(layers, activation, pre, acts):
+        calls.append(len(layers))
+        return kernel(layers, activation, pre, acts)
 
-    monkeypatch.setattr(models, "forward_trace", counting)
-    monkeypatch.setattr(attacks, "forward_trace", counting)
+    monkeypatch.setattr(models, "_forward", counting)
+    monkeypatch.setattr(attacks, "_forward", counting)
     schedule = GanSchedule(epochs=11, steps_per_epoch=3)
     real, _ = make_gaussian_mixture(128, Rng(0).child("real"))
     gan_attack(default_gan_pair(0), real, schedule, mode=mode)
@@ -378,14 +379,18 @@ def test_gan_attack_non_finite_update_raises(monkeypatch, mode, network):
     """A NaN gradient for either network makes its updated weights
     non-finite, which raises ParameterError in every mode."""
     pair = default_gan_pair(0)
-    sizes = getattr(pair, network).sizes
-    traced = attacks.trace_gradient
+    n_layers = len(getattr(pair, network).sizes) - 1  # G has 3 layers, D 2
+    kernel = models._param_gradient
 
-    def nan_for_one_network(model, trace, labels, loss):
-        grad = traced(model, trace, labels, loss)
-        return np.full_like(grad, np.nan) if model.sizes == sizes else grad
+    def nan_for_one_network(acts, deltas, grad_layers):
+        kernel(acts, deltas, grad_layers)
+        if len(grad_layers) == n_layers:
+            for grad_w, grad_b in grad_layers:
+                grad_w.fill(np.nan)
+                grad_b.fill(np.nan)
 
-    monkeypatch.setattr(attacks, "trace_gradient", nan_for_one_network)
+    monkeypatch.setattr(models, "_param_gradient", nan_for_one_network)
+    monkeypatch.setattr(attacks, "_param_gradient", nan_for_one_network)
     real, _ = make_gaussian_mixture(128, Rng(0).child("real"))
     with pytest.raises(ParameterError, match="non-finite"):
         gan_attack(pair, real, GanSchedule(epochs=11, steps_per_epoch=3), mode=mode)

@@ -8,6 +8,13 @@ from hypothesis import strategies as st
 
 from fedmask.models import (
     ACTIVATIONS,
+    _averaged_deltas,
+    _backprop,
+    _forward,
+    _layers,
+    _output_delta,
+    _param_gradient,
+    _trace_buffers,
     Batch,
     BigramLM,
     TinyModel,
@@ -276,6 +283,29 @@ def test_cross_entropy_label_count_checked():
         trace_gradient(model, forward_trace(model, x), np.array([0, 1]), "cross_entropy")
     with pytest.raises(ParameterError, match="one class index per output row"):
         per_example_backward(model, x, np.array([0, 1, 2, 0]), "cross_entropy")
+    # a negative label would index from the end, a label past the last class
+    # would raise IndexError, and a fractional one would be truncated
+    for labels in ([0, 1, -1], [0, 1, 3], [0.5, 1.7, 0.0], [0.0, 1.0, np.nan]):
+        labels = np.array(labels)
+        with pytest.raises(ParameterError, match=r"integers in \[0, 3\)"):
+            trace_gradient(model, forward_trace(model, x), labels, "cross_entropy")
+        with pytest.raises(ParameterError, match=r"integers in \[0, 3\)"):
+            input_gradient(model, forward_trace(model, x), labels, "cross_entropy")
+        with pytest.raises(ParameterError, match=r"integers in \[0, 3\)"):
+            per_example_backward(model, x, labels, "cross_entropy")
+        with pytest.raises(ParameterError, match=r"integers in \[0, 3\)"):
+            backward(model, Batch(inputs=x, labels=labels), "cross_entropy")
+    # integer-valued float labels are class indices
+    assert np.array_equal(
+        trace_gradient(model, forward_trace(model, x), np.array([0.0, 2.0, 1.0]), "cross_entropy"),
+        trace_gradient(model, forward_trace(model, x), np.array([0, 2, 1]), "cross_entropy"),
+    )
+
+
+@pytest.mark.parametrize("labels", [3, np.array(3), np.zeros(2)])
+def test_batch_label_count_checked(labels):
+    with pytest.raises(ParameterError, match="label count must match input count"):
+        Batch(inputs=np.ones((1, 4)), labels=labels)
 
 
 def per_example_case(seed, activation, loss, sizes, B):
@@ -379,6 +409,39 @@ def test_property_gradients_match_full_backward_bit_for_bit(seed, activation, lo
     assert np.array_equal(got_grad, want_grad)
     assert np.array_equal(trace_gradient(model, forward_trace(model, x), y, loss), want_grad)
     assert np.array_equal(input_gradient(model, forward_trace(model, x), y, loss), want_grad_x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(ACTIVATIONS),
+    loss=st.sampled_from(["mse", "cross_entropy"]),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    B=st.integers(1, 40),
+)
+def test_property_kernels_reuse_one_workspace(seed, activation, loss, sizes, B):
+    """Two different batches run in turn through one set of kernel buffers,
+    the output written into rows of a larger array as the GAN's generator
+    writes into its discriminator's inputs: the second batch's trace, deltas
+    and gradient equal the allocating functions' bit for bit."""
+    model, x1, y1 = per_example_case(seed, activation, loss, tuple(sizes), B)
+    _, x2, y2 = per_example_case(seed + 1, activation, loss, tuple(sizes), B)
+    host = np.empty((B + 2, model.output_dim))
+    pre, acts = _trace_buffers(model.sizes, activation, np.empty_like(x1), out=host[2:])
+    deltas, scratch = [np.empty_like(z) for z in pre], [np.empty_like(z) for z in pre]
+    grad = np.empty(model.param_count)
+    for x, y in ((x1, y1), (x2, y2)):
+        acts[0][...] = x
+        _forward(model.layers, activation, pre, acts)
+        np.divide(_output_delta(acts[-1], y, loss), B, out=deltas[-1])
+        _backprop(model.layers, activation, pre, acts, deltas, scratch)
+        _param_gradient(acts, deltas, _layers(model.sizes, grad))
+    assert np.shares_memory(acts[-1], host)
+    want_pre, want_acts = forward_trace(model, x2)
+    assert all(np.array_equal(got, want) for got, want in zip(pre + acts, want_pre + want_acts))
+    want_deltas = _averaged_deltas(model, (want_pre, want_acts), y2, loss)
+    assert all(np.array_equal(got, want) for got, want in zip(deltas, want_deltas))
+    assert np.array_equal(grad, trace_gradient(model, (want_pre, want_acts), y2, loss))
 
 
 def reference_per_example_backward(model, x, y, loss):
