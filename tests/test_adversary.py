@@ -2,6 +2,8 @@
 the two-party solve, and the brute-force hiding oracles."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from fedmask.adversary import (
     shamir_candidates,
     two_party_solve,
 )
-from fedmask.crypto import TOY_GROUP, shamir_split
+from fedmask.crypto import RFC3526_2048, TOY_GROUP, shamir_split
 from fedmask.numeric import ParameterError, Rng, encode_fixed
 
 
@@ -155,6 +157,59 @@ def test_strategy_validation():
         AdversaryStrategy(kind="share_compromise", controlled_ids=(1, 1))
     with pytest.raises(ParameterError):
         AdversaryStrategy(kind="sybil_mitm", retry_limit=0)
+
+
+# ---------------------------------------------------------------------------
+# Known answer: every strategy's reports, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def attack_battery(seed, params):
+    """(scenario, strategy) pairs covering each strategy's success and
+    failure paths at one seed."""
+
+    def scenario(n, k, **kw):
+        return AttackScenario(inputs=random_inputs(n, 4, seed), k=k, seed=seed, params=params, **kw)
+
+    def drop(controlled, round_size, retry_limit):
+        return AdversaryStrategy(
+            kind="strategic_drop", controlled_ids=controlled, round_size=round_size, retry_limit=retry_limit
+        )
+
+    return [
+        (scenario(3, 3), AdversaryStrategy(kind="sybil_mitm", sybil_count=4)),
+        (scenario(2, 2), AdversaryStrategy(kind="sybil_mitm", sybil_count=1)),
+        (scenario(2, 2), AdversaryStrategy(kind="sybil_mitm")),
+        (scenario(2, 2, trusted_third_party=True), AdversaryStrategy(kind="sybil_mitm", sybil_count=5)),
+        (scenario(5, 3), AdversaryStrategy(kind="share_compromise", controlled_ids=(0, 2, 4))),
+        (scenario(5, 3), AdversaryStrategy(kind="share_compromise", controlled_ids=(1, 3))),
+        (scenario(5, 3), AdversaryStrategy(kind="share_compromise", controlled_ids=tuple(range(5)))),
+        (scenario(10, 3), drop(tuple(range(5)), 5, 10)),
+        (scenario(12, 4), drop((0, 1, 2), 6, 3)),
+    ]
+
+
+def report_record(report):
+    return {
+        "kind": report.strategy.kind,
+        "success": report.success,
+        "recovered": {str(cid): v.residues.tolist() for cid, v in report.recovered_field.items()},
+        "max_field_error": report.max_field_error,
+        "rounds_consumed": report.rounds_consumed,
+        "reason": report.reason,
+        "attempts": report.attempts,
+    }
+
+
+def test_attack_reports_known_answer():
+    # pins the recovered vectors, attempt logs, reasons and round counts of
+    # every strategy, on the toy group at four seeds and on RFC 3526 at one
+    cases = [case for seed in range(4) for case in attack_battery(seed, TOY_GROUP)]
+    cases += attack_battery(0, RFC3526_2048)
+    records = [report_record(run_attack(scenario, strategy)) for scenario, strategy in cases]
+    assert sum(r["success"] for r in records) == 20
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
+    assert digest == "bf020693417176b0"
 
 
 # ---------------------------------------------------------------------------
