@@ -22,7 +22,6 @@ from .crypto import (
     shamir_reconstruct,
 )
 from .numeric import (
-    FieldVector,
     ParameterError,
     Rng,
     as_vector,
@@ -57,6 +56,10 @@ class AttackScenario:
     params: DhParams = RFC3526_2048
     trusted_third_party: bool = False  # third party certifies advertised keys
 
+    def __post_init__(self):
+        if not self.inputs:
+            raise ParameterError("an attack needs at least one client input")
+
 
 @dataclass
 class AttackReport:
@@ -69,22 +72,61 @@ class AttackReport:
     attempts: list = field(default_factory=list)  # per-attempt log entries
 
 
-def _truth_field(scenario: AttackScenario, cid: int) -> FieldVector:
-    return encode_fixed(clip_for_encoding(as_vector(scenario.inputs[cid])))
+def _recover(run: ProtocolRun, controlled) -> dict:
+    """Each survivor outside controlled -> its encoded input, unmasked as the
+    server unmasks a survivor, from its sk1 and sk2 rebuilt out of the shares
+    the controlled clients hold; sk1 and each peer's pk1 give the pair secrets.
+    Raises ThresholdError when the controlled hold fewer than k shares."""
+    server = run.server
+    recovered = {}
+    for cid in server.u3:
+        if cid in controlled:
+            continue
+        held = [run.clients[h].held_shares[cid] for h in controlled if cid in run.clients[h].held_shares]
+        sk1 = shamir_reconstruct([pair[0] for pair in held])
+        sk2 = shamir_reconstruct([pair[1] for pair in held])
+        pair_secrets = {
+            j: dh_shared_secret(sk1, server.adverts[j].pk1, server.params, server.tables) for j in server.u2 if j != cid
+        }
+        recovered[cid] = field_sub(server.masked[cid], client_mask(cid, sk2, pair_secrets, server.dim))
+    return recovered
 
 
-def _field_error(a: FieldVector, b: FieldVector) -> int:
-    return int(np.max(np.abs(a.residues.astype(np.int64) - b.residues.astype(np.int64)), initial=0))
+def _score(report: AttackReport, scenario: AttackScenario) -> AttackReport:
+    """Score the recovered inputs against their encoded truth, residue by residue."""
+    report.max_field_error = 0
+    for i, v in report.recovered_field.items():
+        truth = encode_fixed(clip_for_encoding(as_vector(scenario.inputs[i])))
+        error = np.abs(v.residues.astype(np.int64) - truth.residues.astype(np.int64))
+        report.max_field_error = max(report.max_field_error, int(np.max(error, initial=0)))
+    report.success = report.max_field_error == 0
+    return report
 
 
-def _pooled_shares(run: ProtocolRun, holders, owner: int) -> tuple[list, list]:
-    """The shares of owner's sk1 and of its sk2 that the holders received."""
-    held = [run.clients[h].held_shares[owner] for h in holders if h != owner and owner in run.clients[h].held_shares]
-    return [pair[0] for pair in held], [pair[1] for pair in held]
+def _check_controlled(scenario: AttackScenario, strategy: AdversaryStrategy) -> None:
+    if any(not (0 <= c < len(scenario.inputs)) for c in strategy.controlled_ids):
+        raise ParameterError("controlled id out of range")
 
 
 def _cell_seed(seed: int, cell: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + cell + 1) % (1 << 64)
+
+
+def _compromise(report: AttackReport, scenario: AttackScenario, ids, controlled, seed: int) -> bool:
+    """One round among the scenario's clients ids (ids[p] is round id p) in
+    which the controlled ones unmask every other survivor.  Records the result,
+    or why it failed, in report, and returns whether the attack succeeded."""
+    run = run_protocol([scenario.inputs[i] for i in ids], scenario.k, seed=seed, params=scenario.params)
+    if run.transcript.aborted:
+        report.reason = f"protocol aborted: {run.transcript.abort_reason}"
+        return False
+    try:
+        recovered = _recover(run, [p for p, i in enumerate(ids) if i in controlled])
+    except ThresholdError:
+        report.reason = f"only {len(controlled)} controlled clients; {scenario.k} shares needed"
+        return False
+    report.recovered_field = {ids[p]: v for p, v in recovered.items()}
+    return _score(report, scenario).success
 
 
 def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackReport:
@@ -102,7 +144,6 @@ def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackRep
     if scenario.k > s:
         report.reason = "threshold exceeds sybil count; not enough shares observable"
         return report
-    max_err = 0
     for cell, w in enumerate(scenario.inputs):
         # honest client is id 0; ids 1..s are sybils running the genuine logic
         inputs = [as_vector(w)] + [np.zeros(np.asarray(w).shape[0])] * s
@@ -111,55 +152,17 @@ def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackRep
         if run.transcript.aborted:
             report.reason = f"protocol aborted: {run.transcript.abort_reason}"
             return report
-        sybils = range(1, s + 1)
-        sk2 = shamir_reconstruct(_pooled_shares(run, sybils, 0)[1])
-        pair_secrets = {j: run.clients[j].pair_secrets[0] for j in sybils}
-        # encode(w_0) = c_0 - client_mask_0, as the server unmasks a survivor
-        rec = field_sub(run.server.masked[0], client_mask(0, sk2, pair_secrets, run.server.dim))
-        report.recovered_field[cell] = rec
-        max_err = max(max_err, _field_error(rec, _truth_field(scenario, cell)))
-    report.max_field_error = max_err
-    report.success = max_err == 0
-    return report
+        report.recovered_field[cell] = _recover(run, range(1, s + 1))[0]
+    return _score(report, scenario)
 
 
 def run_share_compromise(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackReport:
     """Controlled clients pool the key shares they received; with at least k
     of them the server reconstructs every honest client's keys and unmasks."""
-    report = AttackReport(strategy=strategy, success=False)
-    controlled = tuple(sorted(strategy.controlled_ids))
-    n = len(scenario.inputs)
-    if any(not (0 <= c < n) for c in controlled):
-        raise ParameterError("controlled id out of range")
-    run = run_protocol(list(scenario.inputs), scenario.k, seed=scenario.seed, params=scenario.params)
-    report.rounds_consumed = 1
-    if run.transcript.aborted:
-        report.reason = f"protocol aborted: {run.transcript.abort_reason}"
-        return report
-    honest = [i for i in run.server.u3 if i not in controlled]
-    max_err = 0
-    for cid in honest:
-        try:
-            sk1_shares, sk2_shares = _pooled_shares(run, controlled, cid)
-            sk1 = shamir_reconstruct(sk1_shares)
-            sk2 = shamir_reconstruct(sk2_shares)
-        except ThresholdError:
-            report.reason = (
-                f"only {len(controlled)} controlled clients; {scenario.k} shares needed"
-            )
-            return report
-        pair_secrets = {
-            j: dh_shared_secret(sk1, run.clients[j].kp1.pk, scenario.params, run.server.tables)
-            for j in run.clients[cid].participants
-            if j != cid
-        }
-        rec = field_sub(run.server.masked[cid], client_mask(cid, sk2, pair_secrets, run.server.dim))
-        report.recovered_field[cid] = rec
-        max_err = max(max_err, _field_error(rec, _truth_field(scenario, cid)))
-    report.max_field_error = max_err
-    report.success = bool(honest) and max_err == 0
-    if not honest:
-        report.success = True
+    _check_controlled(scenario, strategy)
+    report = AttackReport(strategy=strategy, success=False, rounds_consumed=1)
+    ids = range(len(scenario.inputs))
+    if _compromise(report, scenario, ids, strategy.controlled_ids, scenario.seed) and not report.recovered_field:
         report.reason = "no honest participants; round pretended complete"
     return report
 
@@ -170,48 +173,29 @@ def run_strategic_drop(scenario: AttackScenario, strategy: AdversaryStrategy) ->
     declares honest clients dropped and proceeds as share compromise."""
     report = AttackReport(strategy=strategy, success=False)
     population = len(scenario.inputs)
-    controlled = set(strategy.controlled_ids)
+    _check_controlled(scenario, strategy)
     round_size = strategy.round_size or max(scenario.k, population // 2)
     if round_size > population:
         raise ParameterError("round size exceeds population")
     selector = Rng(scenario.seed).child("third-party")
     for attempt in range(strategy.retry_limit):
+        report.rounds_consumed += 1
         selected = tuple(sorted(int(i) for i in selector.choice(population, round_size)))
-        picked_controlled = [i for i in selected if i in controlled]
-        entry = {"attempt": attempt, "selected": list(selected), "controlled": len(picked_controlled)}
-        if len(picked_controlled) == len(selected):
+        picked = [i for i in selected if i in strategy.controlled_ids]
+        entry = {"attempt": attempt, "selected": list(selected), "controlled": len(picked)}
+        report.attempts.append(entry)
+        if len(picked) == len(selected):
             entry["outcome"] = "round pretended complete"
-            report.attempts.append(entry)
             report.success = True
             report.reason = "round pretended complete"
-            report.rounds_consumed = attempt + 1
             return report
-        if len(picked_controlled) >= scenario.k:
-            sub = AttackScenario(
-                inputs=tuple(scenario.inputs[i] for i in selected),
-                k=scenario.k,
-                seed=_cell_seed(scenario.seed, attempt),
-                params=scenario.params,
-            )
-            remap = {orig: pos for pos, orig in enumerate(selected)}
-            sub_strategy = AdversaryStrategy(
-                kind="share_compromise",
-                controlled_ids=tuple(remap[i] for i in picked_controlled),
-            )
-            inner = run_share_compromise(sub, sub_strategy)
-            entry["outcome"] = "share compromise" if inner.success else "inner attack failed"
-            report.attempts.append(entry)
-            if inner.success:
-                back = {orig: pos for pos, orig in remap.items()}
-                report.recovered_field = {back[i]: v for i, v in inner.recovered_field.items()}
-                report.max_field_error = inner.max_field_error
-                report.success = True
-                report.rounds_consumed = attempt + 1
-                return report
-        else:
+        if len(picked) < scenario.k:
             entry["outcome"] = "round discarded"
-            report.attempts.append(entry)
-    report.rounds_consumed = strategy.retry_limit
+        elif _compromise(report, scenario, selected, picked, _cell_seed(scenario.seed, attempt)):
+            entry["outcome"] = "share compromise"
+            return report
+        else:
+            entry["outcome"] = "inner attack failed"
     report.reason = "retry limit exhausted"
     return report
 

@@ -219,7 +219,9 @@ def masked_input_vector(state: ClientState) -> FieldVector:
 
 def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
     """Advance one protocol round; returns the state and outgoing messages.
-    A client that aborted or finished every round sends nothing."""
+    A client that aborted or finished every round sends nothing.  A server
+    message whose fields have the wrong shape (a roster entry that does not
+    unpack, a survivor list that is not iterable) aborts the client."""
     if state.abort_reason is not None or state.round == ROUNDS:
         return state, []
     handler = [
@@ -229,7 +231,11 @@ def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
         _client_consistency,
         _client_unmask,
     ][state.round]
-    state, out = handler(state, inbox)
+    try:
+        state, out = handler(state, inbox)
+    except (TypeError, ValueError) as e:
+        state.abort_reason = f"malformed server message: {e}"
+        out = []
     state.round += 1
     return state, out
 

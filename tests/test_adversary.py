@@ -106,6 +106,14 @@ def test_share_compromise_controlled_id_out_of_range():
 # ---------------------------------------------------------------------------
 
 
+def test_strategic_drop_controlled_id_out_of_range():
+    scenario = toy_scenario(6, 4, k=2, seed=6)
+    strategy = AdversaryStrategy(kind="strategic_drop", controlled_ids=(0, 99))
+    with pytest.raises(ParameterError, match="controlled id out of range"):
+        run_strategic_drop(scenario, strategy)
+
+
+
 def test_strategic_drop_succeeds_with_majority_control():
     scenario = toy_scenario(20, 4, k=5, seed=0)
     strategy = AdversaryStrategy(
@@ -148,6 +156,12 @@ def test_honest_but_curious_recovers_nothing():
     report = run_attack(scenario, AdversaryStrategy(kind="honest_but_curious"))
     assert not report.success
     assert report.recovered_field == {}
+
+
+def test_scenario_without_inputs_rejected():
+    # an attack on no clients would report success with nothing recovered
+    with pytest.raises(ParameterError):
+        AttackScenario(inputs=(), k=2, params=TOY_GROUP)
 
 
 def test_strategy_validation():

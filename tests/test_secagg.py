@@ -300,6 +300,39 @@ def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
     assert len(sk1_shares_of_0) < k
 
 
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        (secagg.RosterBroadcast, lambda m: {"roster": (m.roster[0][:3],) + m.roster[1:]}),
+        (secagg.RosterBroadcast, lambda m: {"roster": 5}),
+        (secagg.ShareDelivery, lambda m: {"bundles": (1,)}),
+        (secagg.ShareDelivery, lambda m: {"participants": None}),
+        (secagg.SurvivorBroadcast, lambda m: {"survivors": None}),
+        (secagg.UnmaskRequest, lambda m: {"sigs": (1, 2)}),
+        (secagg.UnmaskRequest, lambda m: {"dropped": None}),
+    ],
+    ids=["roster-entry", "roster-int", "bundles", "participants", "survivors", "sigs", "dropped"],
+)
+def test_malformed_server_message_aborts_its_recipients(monkeypatch, kind, change):
+    """A server message field of the wrong shape aborts every client that
+    receives it, instead of raising out of run_protocol."""
+    original = secagg.server_step
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        return state, {
+            to: [dataclasses.replace(m, **change(m)) if isinstance(m, kind) else m for m in msgs]
+            for to, msgs in out.items()
+        }
+
+    monkeypatch.setattr(secagg, "server_step", patched)
+    inputs = random_inputs(4, 5, seed=1)
+    run = run_protocol(inputs, k=3, seed=1, params=TOY_GROUP)
+    for state in run.clients.values():
+        assert state.abort_reason.startswith("malformed server message")
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
 def sweep_tampered_share_bundle(monkeypatch, k):
     """One 4-client round per byte of client 0's key-share bundle to client 2,
     with that byte XOR-ed with 0x01 in transit; returns (inputs, transcripts)."""
