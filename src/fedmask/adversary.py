@@ -9,7 +9,7 @@ Successful attacks recover honest clients' encoded weight vectors bit-exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,13 +39,25 @@ class AdversaryStrategy:
     retry_limit: int = 10
     round_size: int | None = None
 
+    # each ParameterError starts with the scenario config field it rejects
     def __post_init__(self):
         if self.kind not in STRATEGIES:
-            raise ParameterError(f"unknown strategy {self.kind!r}")
+            raise ParameterError(f"strategy: unknown strategy {self.kind!r}")
+        if self.sybil_count < 0:
+            raise ParameterError("sybil_count: must be >= 0")
         if self.retry_limit < 1:
-            raise ParameterError("retry limit must be >= 1")
+            raise ParameterError("retry_limit: must be >= 1")
         if len(set(self.controlled_ids)) != len(self.controlled_ids):
-            raise ParameterError("duplicate controlled ids")
+            raise ParameterError("controlled_ids: duplicate client id")
+        if self.round_size is not None and self.round_size < 1:
+            raise ParameterError(f"round_size: must be >= 1, got {self.round_size}")
+
+    def check_population(self, n: int) -> None:
+        """The rules that depend on the number n of scenario clients."""
+        if any(not 0 <= c < n for c in self.controlled_ids):
+            raise ParameterError(f"controlled_ids: controlled id out of range [0, {n})")
+        if self.round_size is not None and self.round_size > n:
+            raise ParameterError(f"round_size: need round_size <= {n} clients, got {self.round_size}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +115,6 @@ def _score(report: AttackReport, scenario: AttackScenario) -> AttackReport:
     return report
 
 
-def _check_controlled(scenario: AttackScenario, strategy: AdversaryStrategy) -> None:
-    if any(not (0 <= c < len(scenario.inputs)) for c in strategy.controlled_ids):
-        raise ParameterError("controlled id out of range")
-
-
 def _cell_seed(seed: int, cell: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + cell + 1) % (1 << 64)
 
@@ -159,7 +166,7 @@ def run_mitm(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackRep
 def run_share_compromise(scenario: AttackScenario, strategy: AdversaryStrategy) -> AttackReport:
     """Controlled clients pool the key shares they received; with at least k
     of them the server reconstructs every honest client's keys and unmasks."""
-    _check_controlled(scenario, strategy)
+    strategy.check_population(len(scenario.inputs))
     report = AttackReport(strategy=strategy, success=False, rounds_consumed=1)
     ids = range(len(scenario.inputs))
     if _compromise(report, scenario, ids, strategy.controlled_ids, scenario.seed) and not report.recovered_field:
@@ -173,10 +180,8 @@ def run_strategic_drop(scenario: AttackScenario, strategy: AdversaryStrategy) ->
     declares honest clients dropped and proceeds as share compromise."""
     report = AttackReport(strategy=strategy, success=False)
     population = len(scenario.inputs)
-    _check_controlled(scenario, strategy)
     round_size = strategy.round_size or max(scenario.k, population // 2)
-    if round_size > population:
-        raise ParameterError("round size exceeds population")
+    replace(strategy, round_size=round_size).check_population(population)
     selector = Rng(scenario.seed).child("third-party")
     for attempt in range(strategy.retry_limit):
         report.rounds_consumed += 1

@@ -10,17 +10,7 @@ import math
 
 import numpy as np
 
-from .numeric import ParameterError, as_vector, vec_mean
-
-
-def _stack(vectors) -> np.ndarray:
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
-        raise ParameterError("no vectors to aggregate")
-    dim = vs[0].shape[0]
-    if any(v.shape[0] != dim for v in vs):
-        raise ParameterError("aggregation inputs must share a dimension")
-    return np.stack(vs)
+from .numeric import ParameterError, as_vector, as_vectors, vec_mean
 
 
 def krum_scores(X: np.ndarray, n_excluded: int) -> np.ndarray:
@@ -52,7 +42,7 @@ def krum(vectors, delta: float = 0.0) -> np.ndarray:
     """
     if not 0 <= delta < math.inf:
         raise ParameterError("delta must be finite and >= 0")
-    X = _stack(vectors)
+    X = np.stack(as_vectors(vectors))
     n = X.shape[0]
     f = int(np.floor(delta * n))
     if n < f + 3:
@@ -66,7 +56,7 @@ def geometric_median(vectors, max_iters: int = 200, tol: float = 1e-8) -> np.nda
         raise ParameterError("max_iters must be >= 1")
     if not 0 < tol < math.inf:
         raise ParameterError("tol must be finite and > 0")
-    X = _stack(vectors)
+    X = np.stack(as_vectors(vectors))
     if X.shape[0] == 1:
         return X[0].copy()
     nu = np.mean(X, axis=0)
@@ -88,7 +78,7 @@ def trimmed_mean(vectors, zeta: float = 0.1) -> np.ndarray:
     """Per-coordinate mean after removing the floor(zeta*n) extremes per side."""
     if not (0.0 <= zeta < 0.5):
         raise ParameterError("zeta must lie in [0, 0.5)")
-    X = _stack(vectors)
+    X = np.stack(as_vectors(vectors))
     n = X.shape[0]
     t = int(np.floor(zeta * n))
     if n - 2 * t < 1:
@@ -99,7 +89,7 @@ def trimmed_mean(vectors, zeta: float = 0.1) -> np.ndarray:
 
 def coord_median(vectors) -> np.ndarray:
     """Per-coordinate median; even counts average the two central values."""
-    return np.median(_stack(vectors), axis=0)
+    return np.median(np.stack(as_vectors(vectors)), axis=0)
 
 
 def centered_clip(vectors, v0=None, tau: float = 1.0, iters: int = 5) -> np.ndarray:
@@ -108,7 +98,7 @@ def centered_clip(vectors, v0=None, tau: float = 1.0, iters: int = 5) -> np.ndar
         raise ParameterError("tau must be finite and >= 0")
     if iters < 1:
         raise ParameterError("iters must be >= 1")
-    X = _stack(vectors)
+    X = np.stack(as_vectors(vectors))
     nu = np.zeros(X.shape[1]) if v0 is None else as_vector(v0).copy()
     if nu.shape[0] != X.shape[1]:
         raise ParameterError("v0 dimension mismatch")
@@ -131,7 +121,7 @@ def bulyan(vectors, d: int = 1, inner: str = "krum") -> np.ndarray:
     """
     if inner == "bulyan":
         raise ParameterError("bulyan cannot nest itself")
-    X = _stack(vectors)
+    X = np.stack(as_vectors(vectors))
     n = X.shape[0]
     if d < 0:
         raise ParameterError("d must be >= 0")

@@ -28,7 +28,7 @@ from .models import (
     softmax,
     trace_gradient,
 )
-from .numeric import ParameterError, Rng, as_vector, uniform_mask
+from .numeric import ParameterError, Rng, as_vector, check_alpha, uniform_mask
 
 # Mask level at which gradient-matching reconstruction fails on every seed at
 # desk scale; acceptance criterion 06 checks it on seeds 0-9 of the
@@ -233,8 +233,7 @@ class GanSchedule:
         for name in ("batch_size", "steps_per_epoch"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ParameterError("alpha must lie in [0, 1]")
+        check_alpha(self.alpha)
 
 
 @dataclass

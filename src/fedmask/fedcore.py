@@ -17,7 +17,7 @@ import numpy as np
 
 from . import aggregators
 from .models import Batch, TinyModel, flatten, per_example_backward, sgd_step, unflatten
-from .numeric import ParameterError, Rng, uniform_mask
+from .numeric import ParameterError, Rng, check_alpha, uniform_mask
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class FedConfig:
         for name in ("n_clients", "t_global"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError("alpha must lie in [0, 1]")
+        check_alpha(self.alpha)
         if self.aggregator not in aggregators.AGGREGATORS:
             raise ParameterError(f"unknown aggregator {self.aggregator!r}")
 

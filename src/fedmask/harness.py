@@ -23,7 +23,7 @@ from . import adversary, aggregators, fedcore, secagg
 from .data import GLYPH_CLASSES, GLYPH_DIM, make_glyphs, partition
 from .models import TinyModel, accuracy, count_params, flatten, init_model, sgd_step, unflatten
 from .models import Batch
-from .numeric import ParameterError, Rng, uniform_mask, vec_mean
+from .numeric import ParameterError, Rng, check_alpha, uniform_mask, vec_mean
 
 REPORT_SCHEMA_VERSION = 1
 CSV_SCHEMA_VERSION = 1
@@ -100,20 +100,10 @@ class ScenarioConfig:
                     raise ConfigError(f"{name}: must be {what}")
         if self.kind not in SCENARIOS:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
-        if self.n < 2:
-            raise ConfigError("n: need at least 2 clients")
         if self.kind == "fed_training" and self.n > FED_GLYPHS_PER_CLASS * GLYPH_CLASSES:
             raise ConfigError(f"n: fed_training has {FED_GLYPHS_PER_CLASS * GLYPH_CLASSES} examples to split, got {self.n}")
-        if not (1 <= self.k <= self.n):
-            raise ConfigError(f"k: need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.dim < 1:
-            raise ConfigError("dim: must be >= 1")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError("alpha: must lie in [0, 1]")
         if not self.alphas:
             raise ConfigError("alphas: list must be nonempty")
-        if any(not (0.0 <= a <= 1.0) for a in self.alphas):
-            raise ConfigError("alphas: every entry must lie in [0, 1]")
         if any(c < 1 for c in self.client_counts):
             raise ConfigError("client_counts: every entry must be >= 1")
         if not self.seeds:
@@ -122,18 +112,18 @@ class ScenarioConfig:
             raise ConfigError("seeds: every entry must lie in [0, 2^64)")
         if self.n_mask_seeds < 2:
             raise ConfigError("n_mask_seeds: need at least 2 seeds")
-        if self.strategy not in adversary.STRATEGIES:
-            raise ConfigError(f"strategy: unknown strategy {self.strategy!r}")
-        if self.sybil_count < 0:
-            raise ConfigError("sybil_count: must be >= 0")
-        if self.retry_limit < 1:
-            raise ConfigError("retry_limit: must be >= 1")
-        if len(set(self.controlled_ids)) != len(self.controlled_ids):
-            raise ConfigError("controlled_ids: duplicate client id")
-        if any(not (0 <= c < self.n) for c in self.controlled_ids):
-            raise ConfigError("controlled_ids: every entry must lie in [0, n)")
-        if self.round_size is not None and not (1 <= self.round_size <= self.n):
-            raise ConfigError(f"round_size: need 1 <= round_size <= n, got {self.round_size}")
+        # the library's own rules; each message starts with the field it rejects
+        try:
+            secagg.check_round(self.n, self.k, self.dim, self.dropout_after)
+            check_alpha(self.alpha)
+            _strategy(self).check_population(self.n)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+        try:
+            for alpha in self.alphas:
+                check_alpha(alpha)
+        except ParameterError as exc:
+            raise ConfigError(f"alphas: {exc}") from exc
         if self.aggregator not in aggregators.AGGREGATORS:
             raise ConfigError(f"aggregator: unknown aggregator {self.aggregator!r}")
         keywords = list(inspect.signature(aggregators.AGGREGATORS[self.aggregator]).parameters.values())[1:]
@@ -152,9 +142,16 @@ class ScenarioConfig:
         except ParameterError as exc:
             name = "aggregator_params" if self.aggregator_params else "aggregator"
             raise ConfigError(f"{name}: {exc}") from exc
-        for cid, rnd in self.dropout_after.items():
-            if not (_is_int(cid) and _is_int(rnd) and 0 <= cid < self.n and 0 <= rnd < secagg.ROUNDS):
-                raise ConfigError(f"dropout_after: bad entry {cid!r}: {rnd!r}")
+
+
+def _strategy(cfg: ScenarioConfig) -> adversary.AdversaryStrategy:
+    return adversary.AdversaryStrategy(
+        kind=cfg.strategy,
+        sybil_count=cfg.sybil_count,
+        controlled_ids=cfg.controlled_ids,
+        retry_limit=cfg.retry_limit,
+        round_size=cfg.round_size,
+    )
 
 
 _TUPLE_FIELDS = {"alphas", "client_counts", "controlled_ids", "seeds"}
@@ -399,13 +396,7 @@ def secagg_round(cfg: ScenarioConfig, seed: int):
 
 def attack_battery(cfg: ScenarioConfig) -> ExperimentReport:
     """Run the configured adversary strategy across the seed battery."""
-    strategy = adversary.AdversaryStrategy(
-        kind=cfg.strategy,
-        sybil_count=cfg.sybil_count,
-        controlled_ids=cfg.controlled_ids,
-        retry_limit=cfg.retry_limit,
-        round_size=cfg.round_size,
-    )
+    strategy = _strategy(cfg)
     rows = []
     successes = 0
     for s in cfg.seeds:

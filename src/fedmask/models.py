@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numeric import ParameterError, Rng, as_vector
+from .numeric import ParameterError, Rng, as_vector, check_alpha
 
 ACTIVATIONS = ("sigmoid", "relu", "tanh", "identity")
 
@@ -372,8 +372,7 @@ def mask_bigram_probs(lm: BigramLM, alpha: float, rng: Rng) -> np.ndarray:
     the +inf log-perplexity saturation at high alpha).  Returns a (V, V) row
     table; rows that collapse entirely stay all-zero.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError("alpha must lie in [0, 1]")
+    check_alpha(alpha)
     V = lm.vocab_size
     noise = rng.uniform(-alpha, alpha, V * V).reshape(V, V) if alpha > 0 else 0.0
     masked = np.maximum(lm.probs + noise, 0.0)

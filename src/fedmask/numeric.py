@@ -135,12 +135,28 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
+def as_vectors(vectors) -> list[np.ndarray]:
+    """Validate a nonempty list of finite 1-D float64 vectors of one dimension."""
+    vs = [as_vector(v) for v in vectors]
+    if not vs:
+        raise ParameterError("expected at least one vector")
+    for i, v in enumerate(vs):
+        if v.shape[0] != vs[0].shape[0]:
+            raise ParameterError(f"vector {i} has dim {v.shape[0]}, expected {vs[0].shape[0]}")
+    return vs
+
+
+def check_alpha(alpha: float) -> None:
+    """The one rule for a mask half-width: alpha lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha: must lie in [0, 1], got {alpha}")
+
+
 def uniform_mask(dim: int, alpha: float, rng: Rng) -> np.ndarray:
     """I.i.d. uniform noise on [-alpha, alpha], deterministic given rng."""
     if dim < 1:
         raise ParameterError("dim must be >= 1")
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    check_alpha(alpha)
     if alpha == 0.0:
         # uniform(0, 0) is ill-defined for numpy; the degenerate mask is zero
         return np.zeros(dim)
@@ -149,14 +165,7 @@ def uniform_mask(dim: int, alpha: float, rng: Rng) -> np.ndarray:
 
 def vec_mean(vectors) -> np.ndarray:
     """Coordinate-wise arithmetic mean of same-dimension vectors."""
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
-        raise ParameterError("mean of empty sequence")
-    dim = vs[0].shape[0]
-    for i, v in enumerate(vs):
-        if v.shape[0] != dim:
-            raise ParameterError(f"vector {i} has dim {v.shape[0]}, expected {dim}")
-    return np.mean(np.stack(vs), axis=0)
+    return np.mean(np.stack(as_vectors(vectors)), axis=0)
 
 
 # ---------------------------------------------------------------------------

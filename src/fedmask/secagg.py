@@ -52,7 +52,7 @@ from .numeric import (
     FieldVector,
     ParameterError,
     Rng,
-    as_vector,
+    as_vectors,
     clip_for_encoding,
     decode_fixed,
     encode_fixed,
@@ -219,34 +219,32 @@ def masked_input_vector(state: ClientState) -> FieldVector:
 
 def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
     """Advance one protocol round; returns the state and outgoing messages.
-    A client that aborted or finished every round sends nothing.  A server
-    message whose fields have the wrong shape (a roster entry that does not
-    unpack, a survivor list that is not iterable) aborts the client."""
+    A client that aborted or finished every round sends nothing.  Each round
+    after the first reads one server message of the type in the table, and
+    the client aborts unless exactly one arrived or when its fields have the
+    wrong shape (a roster entry that does not unpack, a survivor list that
+    is not iterable)."""
     if state.abort_reason is not None or state.round == ROUNDS:
         return state, []
-    handler = [
-        _client_advertise,
-        _client_share_keys,
-        _client_masked_input,
-        _client_consistency,
-        _client_unmask,
+    kind, handler = [
+        (None, _client_advertise),
+        (RosterBroadcast, _client_share_keys),
+        (ShareDelivery, _client_masked_input),
+        (SurvivorBroadcast, _client_consistency),
+        (UnmaskRequest, _client_unmask),
     ][state.round]
-    try:
-        state, out = handler(state, inbox)
-    except (TypeError, ValueError) as e:
-        state.abort_reason = f"malformed server message: {e}"
-        out = []
-    state.round += 1
-    return state, out
-
-
-def _one(state: ClientState, inbox, kind):
-    """The one message of type kind in inbox, or None after aborting the client."""
-    msgs = [m for m in inbox if isinstance(m, kind)]
+    # key advertising reads no server message: its handler takes the inbox
+    msgs = [m for m in inbox if isinstance(m, kind)] if kind else [inbox]
+    out = []
     if len(msgs) != 1:
         state.abort_reason = f"expected one {kind.__name__}, got {len(msgs)}"
-        return None
-    return msgs[0]
+    else:
+        try:
+            state, out = handler(state, msgs[0])
+        except (TypeError, ValueError) as e:
+            state.abort_reason = f"malformed server message: {e}"
+    state.round += 1
+    return state, out
 
 
 def _client_advertise(state: ClientState, inbox) -> tuple[ClientState, list]:
@@ -256,9 +254,16 @@ def _client_advertise(state: ClientState, inbox) -> tuple[ClientState, list]:
     return state, [KeyAdvert(sender=state.cid, pk1=state.kp1.pk, pk2=state.kp2.pk, sig=sig)]
 
 
-def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
-    msg = _one(state, inbox, RosterBroadcast)
-    if msg is None:
+def _client_share_keys(state: ClientState, msg: RosterBroadcast) -> tuple[ClientState, list]:
+    # share x goes to the x-th smallest id, and the server reads it as the
+    # share of the x-th client of its own roster, so the ids must be distinct
+    ids = sorted([e[0] for e in msg.roster])
+    twice = [a for a, b in zip(ids, ids[1:]) if a == b]
+    if twice:
+        state.abort_reason = f"roster names client {twice[0]} twice"
+        return state, []
+    if state.cid not in ids:
+        state.abort_reason = f"roster leaves out client {state.cid}"
         return state, []
     for cid, pk1, pk2, sig in msg.roster:
         if cid == state.cid:
@@ -273,7 +278,6 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
         except ProtocolError:
             state.abort_reason = f"bad public key from client {cid}"
             return state, []
-    ids = sorted([e[0] for e in msg.roster])
     if len(ids) < state.k:
         state.abort_reason = "below threshold at key sharing"
         return state, []
@@ -291,15 +295,18 @@ def _client_share_keys(state: ClientState, inbox) -> tuple[ClientState, list]:
     return state, [KeyShares(sender=state.cid, bundles=bundles)]
 
 
-def _client_masked_input(state: ClientState, inbox) -> tuple[ClientState, list]:
-    msg = _one(state, inbox, ShareDelivery)
-    if msg is None:
-        return state, []
+def _client_masked_input(state: ClientState, msg: ShareDelivery) -> tuple[ClientState, list]:
     state.participants = tuple(sorted(msg.participants))
-    named = [j for j in state.participants if j != state.cid] + [owner for owner, _ in msg.bundles]
+    owners = [owner for owner, _ in msg.bundles]
+    named = [j for j in state.participants if j != state.cid] + owners
     unknown = [j for j in named if j not in state.roster]
     if unknown:
         state.abort_reason = f"share delivery names client {unknown[0]!r}, not in the roster"
+        return state, []
+    # a peer left out of participants keeps its pairwise mask with this
+    # client out of this client's input, and nothing cancels the peer's side
+    if state.participants != tuple(sorted({state.cid, *owners})):
+        state.abort_reason = "share delivery's participants are not this client and its bundle owners"
         return state, []
     for owner, blob in msg.bundles:
         try:
@@ -315,10 +322,7 @@ def _client_masked_input(state: ClientState, inbox) -> tuple[ClientState, list]:
     return state, [MaskedInput(sender=state.cid, masked=c)]
 
 
-def _client_consistency(state: ClientState, inbox) -> tuple[ClientState, list]:
-    msg = _one(state, inbox, SurvivorBroadcast)
-    if msg is None:
-        return state, []
+def _client_consistency(state: ClientState, msg: SurvivorBroadcast) -> tuple[ClientState, list]:
     survivors = tuple(sorted(msg.survivors))
     if len(survivors) < state.k:
         state.abort_reason = "below threshold at consistency check"
@@ -328,10 +332,7 @@ def _client_consistency(state: ClientState, inbox) -> tuple[ClientState, list]:
     return state, [ConsistencySig(sender=state.cid, participants=survivors, sig=sig)]
 
 
-def _client_unmask(state: ClientState, inbox) -> tuple[ClientState, list]:
-    msg = _one(state, inbox, UnmaskRequest)
-    if msg is None:
-        return state, []
+def _client_unmask(state: ClientState, msg: UnmaskRequest) -> tuple[ClientState, list]:
     if set(msg.dropped) & set(msg.survivors):
         state.abort_reason = "server requested both masks for one client"
         return state, []
@@ -565,6 +566,23 @@ class ProtocolRun:
     server: ServerState
 
 
+def check_round(n: int, k: int, dim: int, dropout_after: dict) -> None:
+    """The rules for a round's arguments, shared by `run_protocol` and the
+    scenario config; each ParameterError starts with the field it rejects."""
+    if n < 2:
+        raise ParameterError("n: secure aggregation needs at least 2 clients")
+    if not 1 <= k <= n:
+        raise ParameterError(f"k: need 1 <= k <= n, got k={k}, n={n}")
+    if dim < 1:
+        raise ParameterError("dim: must be >= 1")
+    for cid, rnd in dropout_after.items():
+        # type() rejects a bool, which isinstance(..., int) lets through
+        if not (type(cid) is int and cid in range(n) and type(rnd) is int and rnd in range(-1, ROUNDS)):
+            raise ParameterError(
+                f"dropout_after: bad entry {cid!r}: {rnd!r}; need a client id in 0..{n - 1} and a round in -1..{ROUNDS - 1}"
+            )
+
+
 def run_protocol(
     inputs,
     k: int,
@@ -577,21 +595,10 @@ def run_protocol(
     dropout_after maps client id -> last protocol round (-1 to ROUNDS - 1) in
     which that client still responds; -1 means it never advertises.
     """
-    inputs = [as_vector(v) for v in inputs]
-    n = len(inputs)
-    if n < 2:
-        raise ParameterError("secure aggregation needs at least 2 clients")
-    if not (1 <= k <= n):
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    dim = inputs[0].shape[0]
-    if any(v.shape[0] != dim for v in inputs):
-        raise ParameterError("client inputs must share a dimension")
+    inputs = as_vectors(inputs)
+    n, dim = len(inputs), inputs[0].shape[0]
     dropout_after = dict(dropout_after or {})
-    for cid, rnd in dropout_after.items():
-        if not (isinstance(cid, int) and cid in range(n) and isinstance(rnd, int) and rnd in range(-1, ROUNDS)):
-            raise ParameterError(
-                f"dropout_after: bad entry {cid!r}: {rnd!r}; need a client id in 0..{n - 1} and a round in -1..{ROUNDS - 1}"
-            )
+    check_round(n, k, dim, dropout_after)
 
     root = Rng(seed)
     tables: dict = {}  # exponent tables and signature results, shared by every party of this round

@@ -173,6 +173,26 @@ def test_strategy_validation():
         AdversaryStrategy(kind="sybil_mitm", retry_limit=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("round_size", 0), ("round_size", -3), ("sybil_count", -2)],
+)
+def test_strategy_rejects_counts_below_range(field, value):
+    # unchecked, round_size 0 would silently mean the default size, -3 would
+    # reach the selector as a negative sample size, and a negative sybil
+    # count would return a report
+    with pytest.raises(ParameterError, match=f"^{field}:"):
+        AdversaryStrategy(kind="strategic_drop", **{field: value})
+
+
+@pytest.mark.parametrize("round_size, k", [(7, 2), (None, 7)], ids=["given", "default"])
+def test_round_size_above_population_rejected(round_size, k):
+    # the default round size max(k, n // 2) exceeds n when k does
+    strategy = AdversaryStrategy(kind="strategic_drop", controlled_ids=(0, 1), round_size=round_size)
+    with pytest.raises(ParameterError, match="^round_size:"):
+        run_strategic_drop(toy_scenario(6, 4, k=k, seed=6), strategy)
+
+
 # ---------------------------------------------------------------------------
 # Known answer: every strategy's reports, byte for byte
 # ---------------------------------------------------------------------------

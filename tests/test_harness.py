@@ -98,6 +98,19 @@ def test_bad_config_rejected(data):
         scenario_from_dict(data)
 
 
+def test_config_accepts_a_client_that_never_advertises():
+    # run_protocol takes round -1 ("never advertises"), so the config does too
+    cfg = scenario_from_dict({"n": 3, "k": 2, "dropout_after": {"0": -1}})
+    report = secagg_report(cfg)
+    assert report.summary["aborts"] == 0
+    assert report.summary["max_deviation"] < 2**-20
+
+
+def test_config_rejects_a_bool_dropout_round():
+    with pytest.raises(ConfigError, match="^dropout_after:"):
+        scenario_from_dict({"dropout_after": {"0": True}})
+
+
 def test_config_echo_round_trip():
     cfg = scenario_from_dict(
         {"kind": "attack_demo", "n": 5, "k": 3, "strategy": "share_compromise",

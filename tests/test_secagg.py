@@ -176,6 +176,17 @@ def test_unknown_client_in_delivery_aborts(monkeypatch, change):
     assert_aborted_or_exact(run.transcript, inputs)
 
 
+def test_delivery_omitting_a_peer_aborts_its_recipient(monkeypatch):
+    # client 2 would leave out its pairwise mask with client 0, which
+    # client 0's input still carries, and the sum would be off
+    deliver_with(monkeypatch, lambda r, msg: dataclasses.replace(msg, participants=msg.participants[1:]) if r == 2 else msg)
+    inputs = random_inputs(4, 5, seed=18)
+    run = run_protocol(inputs, k=3, seed=18, params=TOY_GROUP)
+    assert run.clients[2].abort_reason == "share delivery's participants are not this client and its bundle owners"
+    assert run.transcript.included == (0, 1, 3)
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
 def test_missing_share_delivery_aborts_its_recipient(monkeypatch):
     original = secagg._server_after_shares
 
@@ -331,6 +342,29 @@ def test_malformed_server_message_aborts_its_recipients(monkeypatch, kind, chang
     for state in run.clients.values():
         assert state.abort_reason.startswith("malformed server message")
     assert_aborted_or_exact(run.transcript, inputs)
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (4, 2), (5, 3)])
+def test_roster_naming_a_client_twice_aborts(monkeypatch, n, k):
+    """Each client deals share x to the x-th id of its roster and the server
+    reads share x as the x-th client's of its own, so a repeated smallest id
+    shifts every share to f(x + 1), still on one polynomial: without the
+    client's check these rounds return a wrong sum with no abort."""
+    original = secagg.server_step
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        return state, {
+            to: [dataclasses.replace(m, roster=m.roster + m.roster[:1]) if isinstance(m, secagg.RosterBroadcast) else m for m in msgs]
+            for to, msgs in out.items()
+        }
+
+    monkeypatch.setattr(secagg, "server_step", patched)
+    inputs = random_inputs(n, 5, seed=1)
+    run = run_protocol(inputs, k=k, seed=1, params=TOY_GROUP)
+    for state in run.clients.values():
+        assert state.abort_reason == "roster names client 0 twice"
+    assert run.transcript.aborted
 
 
 def sweep_tampered_share_bundle(monkeypatch, k):
@@ -583,3 +617,17 @@ def test_run_protocol_validation():
     for dropout in ({7: 1}, {0: 9}, {"0": 1}):
         with pytest.raises(ParameterError, match="dropout_after"):
             run_protocol([[1.0], [2.0], [3.0]], k=2, dropout_after=dropout, params=TOY_GROUP)
+
+
+def test_run_protocol_rejects_zero_dimension_inputs():
+    # unchecked, every client would abort with a misleading "malformed server
+    # message" and the round would fall below threshold
+    with pytest.raises(ParameterError, match="^dim:"):
+        run_protocol([[], []], k=2, params=TOY_GROUP)
+
+
+@pytest.mark.parametrize("dropout", [{0: True}, {True: 1}], ids=["round", "client"])
+def test_run_protocol_rejects_a_bool_in_dropout_after(dropout):
+    # the scenario config rejects a bool there, so the round does too
+    with pytest.raises(ParameterError, match="^dropout_after:"):
+        run_protocol([[1.0], [2.0], [3.0]], k=2, dropout_after=dropout, params=TOY_GROUP)
