@@ -117,10 +117,12 @@ def bulyan(vectors, d: int = 1, inner: str = "krum") -> np.ndarray:
     of the values closest to the coordinate-wise median.
 
     gamma = n - 2d vectors are selected; zeta = gamma - 2d values per
-    coordinate are averaged.  Requires n >= 4d + 3.
+    coordinate are averaged.  Requires n >= 4d + 3.  inner is "krum" or
+    "geometric_median"; either way fewer than d + 3 remaining vectors fall
+    back to the geometric median.
     """
-    if inner == "bulyan":
-        raise ParameterError("bulyan cannot nest itself")
+    if inner not in ("krum", "geometric_median"):
+        raise ParameterError(f"unknown inner rule {inner!r}")
     X = np.stack(as_vectors(vectors))
     n = X.shape[0]
     if d < 0:
@@ -139,11 +141,9 @@ def bulyan(vectors, d: int = 1, inner: str = "krum") -> np.ndarray:
         pool = X[remaining]
         if inner == "krum" and len(remaining) >= d + 3:
             pick = krum_index(pool, d)
-        elif inner == "geometric_median" or len(remaining) < d + 3:
+        else:
             gm = geometric_median(pool)
             pick = int(np.argmin(np.linalg.norm(pool - gm, axis=1)))
-        else:
-            raise ParameterError(f"unknown inner rule {inner!r}")
         selected.append(remaining.pop(pick))
 
     S = X[sorted(selected)]

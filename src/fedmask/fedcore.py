@@ -152,8 +152,8 @@ def _sample_group(n: int, cfg: DpConfig, rng: Rng, step: int) -> np.ndarray:
 def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):
     """Clip per-example gradients, add Gaussian noise to the group sum, and
     descend; returns (flat weights, privacy ledger)."""
-    inputs, labels = np.asarray(inputs, dtype=np.float64), np.asarray(labels)
-    n = inputs.shape[0]
+    batch = Batch(inputs=inputs, labels=labels)
+    n = batch.size
     rate = min(1.0, cfg.group_size / n)
     w = flatten(model)
     ledger = PrivacyLedger()
@@ -164,7 +164,7 @@ def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):
             continue
         current = unflatten(model, w)
         total = np.zeros_like(w)
-        for g in per_example_backward(current, inputs[idx], labels[idx], cfg.loss):
+        for g in per_example_backward(current, batch.inputs[idx], batch.labels[idx], cfg.loss):
             # an infinite clip divides by max(1.0, norm / inf) = 1.0, which
             # leaves g bit for bit, a NaN norm included
             total = total + g / max(1.0, float(np.linalg.norm(g)) / cfg.clip_threshold)

@@ -110,8 +110,10 @@ class ScenarioConfig:
             raise ConfigError("seeds: list must be nonempty")
         if any(not (0 <= s < 2**64) for s in self.seeds):
             raise ConfigError("seeds: every entry must lie in [0, 2^64)")
-        if self.n_mask_seeds < 2:
-            raise ConfigError("n_mask_seeds: need at least 2 seeds")
+        try:
+            check_seed_count(self.n_mask_seeds)
+        except ParameterError as exc:
+            raise ConfigError(f"n_mask_seeds: {exc}") from exc
         # the library's own rules; each message starts with the field it rejects
         try:
             secagg.check_round(self.n, self.k, self.dim, self.dropout_after)
@@ -264,14 +266,19 @@ def write_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def check_seed_count(n_seeds: int) -> None:
+    """The seed battery's one rule, shared by `clt_check` and the config."""
+    if n_seeds < 2:
+        raise ParameterError("need at least 2 seeds")
+
+
 def clt_check(n: int, alpha: float, dim: int = 100, n_seeds: int = 30, seed: int = 0) -> dict:
     """Empirical std of the mean of n uniform masks vs alpha / sqrt(3 n).
 
     One mask per client per seed; the statistic pools the mean vector's
     coordinates across all seeds.
     """
-    if n_seeds < 2:
-        raise ParameterError("need at least 2 seeds")
+    check_seed_count(n_seeds)
     predicted = alpha / np.sqrt(3.0 * n)
     root = Rng(seed).child("clt", n, alpha)
     samples = []

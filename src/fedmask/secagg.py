@@ -22,6 +22,12 @@ and shared by all the parties that raise those bases, and the results of
 `crypto.verify`, so each broadcast signature is checked once per round (see
 `crypto`).  The dict is freed with the round, and no round shares anything
 with another.
+
+Aborts: a handler that rejects a message raises `ProtocolError` with the
+reason, and `client_step` or `server_step` catches it, stores it as the
+party's `abort_reason` and ends that party's round, so a new check is one
+`raise`.  A client whose server message has fields of the wrong shape (a
+`TypeError` or `ValueError`) aborts with `malformed server message: ...`.
 """
 
 from __future__ import annotations
@@ -220,10 +226,8 @@ def masked_input_vector(state: ClientState) -> FieldVector:
 def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
     """Advance one protocol round; returns the state and outgoing messages.
     A client that aborted or finished every round sends nothing.  Each round
-    after the first reads one server message of the type in the table, and
-    the client aborts unless exactly one arrived or when its fields have the
-    wrong shape (a roster entry that does not unpack, a survivor list that
-    is not iterable)."""
+    after the first reads exactly one server message of the type in the
+    table."""
     if state.abort_reason is not None or state.round == ROUNDS:
         return state, []
     kind, handler = [
@@ -236,13 +240,14 @@ def client_step(state: ClientState, inbox) -> tuple[ClientState, list]:
     # key advertising reads no server message: its handler takes the inbox
     msgs = [m for m in inbox if isinstance(m, kind)] if kind else [inbox]
     out = []
-    if len(msgs) != 1:
-        state.abort_reason = f"expected one {kind.__name__}, got {len(msgs)}"
-    else:
-        try:
-            state, out = handler(state, msgs[0])
-        except (TypeError, ValueError) as e:
-            state.abort_reason = f"malformed server message: {e}"
+    try:
+        if len(msgs) != 1:
+            raise ProtocolError(f"expected one {kind.__name__}, got {len(msgs)}")
+        state, out = handler(state, msgs[0])
+    except ProtocolError as e:  # a ValueError too, so it is caught first
+        state.abort_reason = str(e)
+    except (TypeError, ValueError) as e:
+        state.abort_reason = f"malformed server message: {e}"
     state.round += 1
     return state, out
 
@@ -260,27 +265,22 @@ def _client_share_keys(state: ClientState, msg: RosterBroadcast) -> tuple[Client
     ids = sorted([e[0] for e in msg.roster])
     twice = [a for a, b in zip(ids, ids[1:]) if a == b]
     if twice:
-        state.abort_reason = f"roster names client {twice[0]} twice"
-        return state, []
+        raise ProtocolError(f"roster names client {twice[0]} twice")
     if state.cid not in ids:
-        state.abort_reason = f"roster leaves out client {state.cid}"
-        return state, []
+        raise ProtocolError(f"roster leaves out client {state.cid}")
     for cid, pk1, pk2, sig in msg.roster:
         if cid == state.cid:
             continue
         if not verify(advert_signing_bytes(cid, pk1, pk2), sig, pk1, state.params, state.tables):
-            state.abort_reason = f"bad keypair signature from client {cid}"
-            return state, []
+            raise ProtocolError(f"bad keypair signature from client {cid}")
         state.roster[cid] = (pk1, pk2)
         try:
             state.pair_secrets[cid] = dh_shared_secret(state.kp1.sk, pk1, state.params, state.tables)
             state.enc_secrets[cid] = dh_shared_secret(state.kp2.sk, pk2, state.params, state.tables)
         except ProtocolError:
-            state.abort_reason = f"bad public key from client {cid}"
-            return state, []
+            raise ProtocolError(f"bad public key from client {cid}")
     if len(ids) < state.k:
-        state.abort_reason = "below threshold at key sharing"
-        return state, []
+        raise ProtocolError("below threshold at key sharing")
     n = len(ids)
     sk1_shares = shamir_split(state.kp1.sk, state.k, n, state.rng.child("shamir-sk1"))
     sk2_shares = shamir_split(state.kp2.sk, state.k, n, state.rng.child("shamir-sk2"))
@@ -301,23 +301,19 @@ def _client_masked_input(state: ClientState, msg: ShareDelivery) -> tuple[Client
     named = [j for j in state.participants if j != state.cid] + owners
     unknown = [j for j in named if j not in state.roster]
     if unknown:
-        state.abort_reason = f"share delivery names client {unknown[0]!r}, not in the roster"
-        return state, []
+        raise ProtocolError(f"share delivery names client {unknown[0]!r}, not in the roster")
     # a peer left out of participants keeps its pairwise mask with this
     # client out of this client's input, and nothing cancels the peer's side
     if state.participants != tuple(sorted({state.cid, *owners})):
-        state.abort_reason = "share delivery's participants are not this client and its bundle owners"
-        return state, []
+        raise ProtocolError("share delivery's participants are not this client and its bundle owners")
     for owner, blob in msg.bundles:
         try:
             info = json.loads(stream_xor(_bundle_key(state, owner), blob))
             state.held_shares[owner] = (_decode_share(info["sk1"]), _decode_share(info["sk2"]))
         except (ValueError, KeyError, TypeError):
-            state.abort_reason = f"malformed key-share bundle from client {owner}"
-            return state, []
+            raise ProtocolError(f"malformed key-share bundle from client {owner}")
     if len(state.participants) < state.k:
-        state.abort_reason = "below threshold at masked input"
-        return state, []
+        raise ProtocolError("below threshold at masked input")
     c = masked_input_vector(state)
     return state, [MaskedInput(sender=state.cid, masked=c)]
 
@@ -325,8 +321,7 @@ def _client_masked_input(state: ClientState, msg: ShareDelivery) -> tuple[Client
 def _client_consistency(state: ClientState, msg: SurvivorBroadcast) -> tuple[ClientState, list]:
     survivors = tuple(sorted(msg.survivors))
     if len(survivors) < state.k:
-        state.abort_reason = "below threshold at consistency check"
-        return state, []
+        raise ProtocolError("below threshold at consistency check")
     state.consistency_list = survivors
     sig = sign(roster_signing_bytes(survivors), state.kp1.sk, state.params, state.tables)
     return state, [ConsistencySig(sender=state.cid, participants=survivors, sig=sig)]
@@ -334,22 +329,19 @@ def _client_consistency(state: ClientState, msg: SurvivorBroadcast) -> tuple[Cli
 
 def _client_unmask(state: ClientState, msg: UnmaskRequest) -> tuple[ClientState, list]:
     if set(msg.dropped) & set(msg.survivors):
-        state.abort_reason = "server requested both masks for one client"
-        return state, []
+        raise ProtocolError("server requested both masks for one client")
     # a client this one signed as a survivor keeps its sk1 hidden, whatever
     # the server tells the other clients
     signed = [j for j in msg.dropped if j in state.consistency_list]
     if signed:
-        state.abort_reason = f"server requested sk1 of client {signed[0]}, a signed survivor"
-        return state, []
+        raise ProtocolError(f"server requested sk1 of client {signed[0]}, a signed survivor")
     expected = roster_signing_bytes(state.consistency_list)
     for cid, sig in msg.sigs:
         if cid == state.cid:
             continue
         pk1 = state.roster.get(cid, (None, None))[0]
         if pk1 is None or not verify(expected, sig, pk1, state.params, state.tables):
-            state.abort_reason = f"bad consistency signature from client {cid}"
-            return state, []
+            raise ProtocolError(f"bad consistency signature from client {cid}")
     held = state.held_shares
     sk1_shares = {j: held[j][0] for j in msg.dropped if j in held and j != state.cid}
     sk2_shares = {i: held[i][1] for i in msg.survivors if i in held}
@@ -390,11 +382,8 @@ class ServerState:
 
 
 def server_step(state: ServerState, inbox) -> tuple[ServerState, dict]:
-    """Consume one round's client messages; returns per-client outboxes.
-
-    The special key ``secagg.SERVER`` maps to broadcast messages sent to every
-    active client.
-    """
+    """Consume one round's client messages; returns per-client outboxes, in
+    which the key ``SERVER`` addresses every active client."""
     handler = [
         _server_after_advertise,
         _server_after_shares,
@@ -402,7 +391,11 @@ def server_step(state: ServerState, inbox) -> tuple[ServerState, dict]:
         _server_after_consistency,
         _server_after_unmask,
     ][state.round]
-    out = handler(state, inbox)
+    out = {}
+    try:
+        out = handler(state, inbox)
+    except ProtocolError as e:
+        state.abort_reason = str(e)
     state.round += 1
     return state, out
 
@@ -418,8 +411,7 @@ def _server_after_shares(state: ServerState, inbox) -> dict:
     for m in inbox:
         state.share_msgs[m.sender] = m
     if len(state.u2) < state.k:
-        state.abort_reason = "below threshold: too few clients completed key sharing"
-        return {}
+        raise ProtocolError("below threshold: too few clients completed key sharing")
     out = {}
     for recipient in state.u2:
         bundles = tuple(
@@ -441,8 +433,7 @@ def _server_after_consistency(state: ServerState, inbox) -> dict:
     for m in inbox:
         state.consistency[m.sender] = m
     if len(state.consistency) < state.k:
-        state.abort_reason = "below threshold: too few consistency signatures"
-        return {}
+        raise ProtocolError("below threshold: too few consistency signatures")
     sigs = tuple((cid, state.consistency[cid].sig) for cid in sorted(state.consistency))
     dropped = tuple(sorted(set(state.u2) - set(state.u3)))
     return {SERVER: [UnmaskRequest(sigs=sigs, dropped=dropped, survivors=state.u3)]}
@@ -453,12 +444,8 @@ def _server_after_unmask(state: ServerState, inbox) -> dict:
         if m.sender in state.u3:
             state.unmask[m.sender] = m
     if len(state.unmask) < state.k:
-        state.abort_reason = "below threshold: too few unmask responses"
-        return {}
-    try:
-        state.aggregate_field = _server_unmask_aggregate(state)
-    except ProtocolError as e:
-        state.abort_reason = str(e)
+        raise ProtocolError("below threshold: too few unmask responses")
+    state.aggregate_field = _server_unmask_aggregate(state)
     return {}
 
 
@@ -483,7 +470,7 @@ def _server_unmask_aggregate(state: ServerState) -> FieldVector:
     between two survivors cancel in the sum, so each survivor's mask needs
     only its sk2 and its pair secrets with the clients dropped after key
     sharing, derived from their reconstructed sk1 keys.  A public key out of
-    range raises ProtocolError, which the caller turns into the abort."""
+    range raises ProtocolError, which `server_step` turns into the abort."""
     dropped_sk1 = {j: _reconstruct(state, j, "sk1") for j in sorted(set(state.u2) - set(state.u3))}
     total = field_zero(state.dim)
     for cid in state.u3:
@@ -507,8 +494,11 @@ class RoundTranscript:
     included: tuple  # client ids whose input entered the aggregate (U3)
     aggregate_field: FieldVector | None
     aggregate: np.ndarray | None
-    aborted: bool
     abort_reason: str | None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     def to_jsonl(self) -> str:
         header = json.dumps(
@@ -630,15 +620,13 @@ def run_protocol(
                 for cid in clients if to == SERVER else (to,):
                     pending[cid].append(m)
 
-    aborted = server.abort_reason is not None
     aggregate_field = server.aggregate_field
     transcript = RoundTranscript(
         messages=log,
         dropouts=dropout_after,
-        included=() if aborted else server.u3,
+        included=() if server.abort_reason is not None else server.u3,
         aggregate_field=aggregate_field,
         aggregate=None if aggregate_field is None else decode_fixed(aggregate_field),
-        aborted=aborted,
         abort_reason=server.abort_reason,
     )
     return ProtocolRun(transcript=transcript, clients=clients, server=server)

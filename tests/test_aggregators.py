@@ -255,6 +255,13 @@ def test_bulyan_validation():
         bulyan([np.zeros(2)] * 7, d=1, inner="bulyan")
 
 
+@pytest.mark.parametrize("n, d", [(3, 0), (7, 1)])
+def test_bulyan_rejects_an_unknown_inner_rule(n, d):
+    # at d = 0 the selection never reaches the inner rule, so it is checked first
+    with pytest.raises(ParameterError, match="unknown inner rule 'bogus'"):
+        bulyan([np.ones(3)] * n, d=d, inner="bogus")
+
+
 # ---------------------------------------------------------------------------
 # Parameter ranges
 # ---------------------------------------------------------------------------

@@ -214,6 +214,18 @@ def test_dp_sgd_noise_changes_trajectory_but_ledger_deterministic():
     assert l1.entries == l2.entries  # ledger depends only on the config
 
 
+@pytest.mark.parametrize("rows, n_labels, match", [(0, 0, "nonempty"), (3, 2, "label count")], ids=["empty", "label-count"])
+def test_dp_sgd_rejects_bad_data(rows, n_labels, match):
+    # these used to raise ZeroDivisionError and, for some sampled rows, IndexError
+    model, inputs, labels = glyph_setup(seed=15)
+    inputs, labels = inputs[:rows], labels[:n_labels]
+    cfg = DpConfig(noise_scale=0.0, clip_threshold=1.0, group_size=2, steps=3)
+    with pytest.raises(ParameterError, match=match):
+        dp_sgd(model, inputs, labels, cfg, Rng(15).child("s"))
+    with pytest.raises(ParameterError, match=match):
+        masked_dp_sgd(model, inputs, labels, cfg, 0.1, Rng(15).child("s"))
+
+
 def test_masked_dp_sgd_alpha_zero_equals_dp_sgd():
     model, inputs, labels = glyph_setup(seed=13)
     cfg = DpConfig(noise_scale=0.0, clip_threshold=1.0, group_size=4, steps=3)

@@ -30,7 +30,7 @@ from fedmask.harness import (
     write_atomic,
 )
 from fedmask.models import accuracy
-from fedmask.numeric import Rng
+from fedmask.numeric import ParameterError, Rng
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +90,19 @@ def test_unknown_key_rejected_by_name():
         {"kind": "fed_training", "aggregator": "centered_clip", "aggregator_params": {"tau": math.nan}},
         {"kind": "fed_training", "aggregator": "geometric_median", "aggregator_params": {"tol": math.nan}},
         {"aggregator": "krum", "aggregator_params": {"delta": math.nan}},
+        {"kind": "fed_training", "n": 3, "aggregator": "bulyan", "aggregator_params": {"d": 0, "inner": "bogus"}},
     ],
 )
 def test_bad_config_rejected(data):
     field = list(data)[-1]  # every case's offending field is its last key
     with pytest.raises(ConfigError, match=f"^{field}:"):
         scenario_from_dict(data)
+
+
+def test_clt_check_needs_two_seeds():
+    # the rule the config applies to n_mask_seeds
+    with pytest.raises(ParameterError, match="^need at least 2 seeds$"):
+        clt_check(3, 0.5, n_seeds=1)
 
 
 def test_config_accepts_a_client_that_never_advertises():

@@ -344,6 +344,46 @@ def test_malformed_server_message_aborts_its_recipients(monkeypatch, kind, chang
     assert_aborted_or_exact(run.transcript, inputs)
 
 
+def stop(*args):
+    raise crypto.ProtocolError("stop")
+
+
+@pytest.mark.parametrize(
+    "handler",
+    ["_server_after_advertise", "_server_after_shares", "_server_after_masked",
+     "_server_after_consistency", "_server_after_unmask"],
+)
+def test_protocol_error_in_a_server_handler_aborts_the_round(monkeypatch, handler):
+    """server_step turns a ProtocolError from any of its handlers into the
+    round's abort reason, instead of raising out of run_protocol."""
+    monkeypatch.setattr(secagg, handler, stop)
+    t = run_protocol(random_inputs(4, 3, seed=2), k=3, seed=2, params=TOY_GROUP).transcript
+    assert t.aborted and t.abort_reason == "stop"
+    assert t.included == () and t.aggregate_field is None
+
+
+@pytest.mark.parametrize(
+    "handler",
+    ["_client_advertise", "_client_share_keys", "_client_masked_input", "_client_consistency", "_client_unmask"],
+)
+def test_protocol_error_in_a_client_handler_aborts_that_client(monkeypatch, handler):
+    """client_step keeps a handler's ProtocolError as the abort reason as it
+    is, not as a malformed server message, and the others finish exactly."""
+    original = getattr(secagg, handler)
+
+    def stop_client_0(state, msg):
+        if state.cid == 0:
+            stop()
+        return original(state, msg)
+
+    monkeypatch.setattr(secagg, handler, stop_client_0)
+    inputs = random_inputs(4, 3, seed=2)
+    run = run_protocol(inputs, k=3, seed=2, params=TOY_GROUP)
+    assert [state.abort_reason for state in run.clients.values()] == ["stop", None, None, None]
+    assert not run.transcript.aborted
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
 @pytest.mark.parametrize("n, k", [(4, 3), (4, 2), (5, 3)])
 def test_roster_naming_a_client_twice_aborts(monkeypatch, n, k):
     """Each client deals share x to the x-th id of its roster and the server
