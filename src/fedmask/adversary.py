@@ -100,7 +100,7 @@ def _recover(run: ProtocolRun, controlled) -> dict:
         pair_secrets = {
             j: dh_shared_secret(sk1, server.adverts[j].pk1, server.params, server.tables) for j in server.u2 if j != cid
         }
-        recovered[cid] = field_sub(server.masked[cid], client_mask(cid, sk2, pair_secrets, server.dim))
+        recovered[cid] = field_sub(server.masked[cid].masked, client_mask(cid, sk2, pair_secrets, server.dim))
     return recovered
 
 

@@ -93,13 +93,15 @@ def coord_median(vectors) -> np.ndarray:
 
 
 def centered_clip(vectors, v0=None, tau: float = 1.0, iters: int = 5) -> np.ndarray:
-    """Iterative clipped averaging from an initial center v0 (default: zeros)."""
+    """Iterative clipped averaging from an initial center v0.  The default
+    center is the coordinate-wise median of the inputs: the iterate moves at
+    most iters * tau, so from zeros a consensus far from zero is out of reach."""
     if not 0 <= tau < math.inf:
         raise ParameterError("tau must be finite and >= 0")
     if iters < 1:
         raise ParameterError("iters must be >= 1")
     X = np.stack(as_vectors(vectors))
-    nu = np.zeros(X.shape[1]) if v0 is None else as_vector(v0).copy()
+    nu = np.median(X, axis=0) if v0 is None else as_vector(v0).copy()
     if nu.shape[0] != X.shape[1]:
         raise ParameterError("v0 dimension mismatch")
     n = X.shape[0]
@@ -171,7 +173,12 @@ AGGREGATORS = {
 }
 
 
-def aggregate(name: str, vectors, **params) -> np.ndarray:
+def rule_for(name: str):
+    """The aggregation rule named name; the one check of an aggregator name."""
     if name not in AGGREGATORS:
-        raise ParameterError(f"unknown aggregator {name!r}")
-    return AGGREGATORS[name](vectors, **params)
+        raise ParameterError(f"aggregator: unknown aggregator {name!r}")
+    return AGGREGATORS[name]
+
+
+def aggregate(name: str, vectors, **params) -> np.ndarray:
+    return rule_for(name)(vectors, **params)

@@ -36,8 +36,7 @@ class FedConfig:
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
         check_alpha(self.alpha)
-        if self.aggregator not in aggregators.AGGREGATORS:
-            raise ParameterError(f"unknown aggregator {self.aggregator!r}")
+        aggregators.rule_for(self.aggregator)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ _FIELD_TYPES = (
 )
 
 # What an aggregator_params value must be, by the type of the rule's default
-# for it; centered_clip's v0 defaults to None, meaning zeros.
+# for it; centered_clip's v0 defaults to None, meaning the inputs' median.
 _PARAM_TYPES = {
     int: ("an integer", _is_int),
     float: ("a number", _is_number),
@@ -119,6 +119,7 @@ class ScenarioConfig:
             secagg.check_round(self.n, self.k, self.dim, self.dropout_after)
             check_alpha(self.alpha)
             _strategy(self).check_population(self.n)
+            rule = aggregators.rule_for(self.aggregator)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
         try:
@@ -126,9 +127,7 @@ class ScenarioConfig:
                 check_alpha(alpha)
         except ParameterError as exc:
             raise ConfigError(f"alphas: {exc}") from exc
-        if self.aggregator not in aggregators.AGGREGATORS:
-            raise ConfigError(f"aggregator: unknown aggregator {self.aggregator!r}")
-        keywords = list(inspect.signature(aggregators.AGGREGATORS[self.aggregator]).parameters.values())[1:]
+        keywords = list(inspect.signature(rule).parameters.values())[1:]
         defaults = {p.name: p.default for p in keywords}
         for key, value in self.aggregator_params.items():
             if key not in defaults:
@@ -140,7 +139,7 @@ class ScenarioConfig:
         # vectors have the model's length when a v0 must match it
         dim = GLYPH_PARAM_COUNT if "v0" in self.aggregator_params else 1
         try:
-            aggregators.AGGREGATORS[self.aggregator]([np.zeros(dim)] * self.n, **self.aggregator_params)
+            rule([np.zeros(dim)] * self.n, **self.aggregator_params)
         except ParameterError as exc:
             name = "aggregator_params" if self.aggregator_params else "aggregator"
             raise ConfigError(f"{name}: {exc}") from exc
@@ -197,6 +196,8 @@ def load_scenario(path: str) -> ScenarioConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file: not UTF-8 ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file: top level must be an object")
     return scenario_from_dict(data)

@@ -28,6 +28,13 @@ reason, and `client_step` or `server_step` catches it, stores it as the
 party's `abort_reason` and ends that party's round, so a new check is one
 `raise`.  A client whose server message has fields of the wrong shape (a
 `TypeError` or `ValueError`) aborts with `malformed server message: ...`.
+
+Intake: `server_step` is the one place the server admits a client message.
+It keeps a message only if it is of the round's type, its sender is an int
+id from the previous round's set (any id in round 0; U1, U2, then U3), and
+the fields the server reads have the shape it reads them with.  Anything
+else is ignored, which is how a client that never sent the message looks:
+a dropout.
 """
 
 from __future__ import annotations
@@ -361,7 +368,7 @@ class ServerState:
     round: int = 0
     adverts: dict = field(default_factory=dict)  # id -> KeyAdvert
     share_msgs: dict = field(default_factory=dict)  # id -> KeyShares
-    masked: dict = field(default_factory=dict)  # id -> FieldVector
+    masked: dict = field(default_factory=dict)  # id -> MaskedInput
     consistency: dict = field(default_factory=dict)  # id -> ConsistencySig
     unmask: dict = field(default_factory=dict)  # id -> UnmaskShares
     abort_reason: str | None = None
@@ -383,33 +390,49 @@ class ServerState:
 
 def server_step(state: ServerState, inbox) -> tuple[ServerState, dict]:
     """Consume one round's client messages; returns per-client outboxes, in
-    which the key ``SERVER`` addresses every active client."""
-    handler = [
-        _server_after_advertise,
-        _server_after_shares,
-        _server_after_masked,
-        _server_after_consistency,
-        _server_after_unmask,
+    which the key ``SERVER`` addresses every active client.  The table names
+    the round's message type, the dict that stores it, and the previous
+    round's senders (None: any id); the module's Intake gives the rule."""
+    kind, store, senders, handler = [
+        (KeyAdvert, state.adverts, None, _server_after_advertise),
+        (KeyShares, state.share_msgs, state.adverts, _server_after_shares),
+        (MaskedInput, state.masked, state.share_msgs, _server_after_masked),
+        (ConsistencySig, state.consistency, state.masked, _server_after_consistency),
+        (UnmaskShares, state.unmask, state.masked, _server_after_unmask),
     ][state.round]
+    for m in inbox:
+        # type() rejects a bool sender, which isinstance(..., int) lets through
+        if isinstance(m, kind) and type(m.sender) is int and (senders is None or m.sender in senders) and _well_formed(state, m):
+            store[m.sender] = m
     out = {}
     try:
-        out = handler(state, inbox)
+        out = handler(state)
     except ProtocolError as e:
         state.abort_reason = str(e)
     state.round += 1
     return state, out
 
 
-def _server_after_advertise(state: ServerState, inbox) -> dict:
-    for m in inbox:
-        state.adverts[m.sender] = m
+def _well_formed(state: ServerState, m) -> bool:
+    """Whether the fields the server reads from m have the shape it reads them
+    with: a bundles dict, a masked vector of the round's dim, and share dicts
+    of ShamirShares with int values."""
+    if isinstance(m, KeyShares):
+        return isinstance(m.bundles, dict)
+    if isinstance(m, MaskedInput):
+        return isinstance(m.masked, FieldVector) and m.masked.dim == state.dim
+    if isinstance(m, UnmaskShares):
+        pools = (m.sk1_shares, m.sk2_shares)
+        return all(isinstance(p, dict) and all(isinstance(s, ShamirShare) and type(s.value) is int for s in p.values()) for p in pools)
+    return True
+
+
+def _server_after_advertise(state: ServerState) -> dict:
     roster = tuple((m.sender, m.pk1, m.pk2, m.sig) for m in (state.adverts[i] for i in state.u1))
     return {SERVER: [RosterBroadcast(roster=roster)]}
 
 
-def _server_after_shares(state: ServerState, inbox) -> dict:
-    for m in inbox:
-        state.share_msgs[m.sender] = m
+def _server_after_shares(state: ServerState) -> dict:
     if len(state.u2) < state.k:
         raise ProtocolError("below threshold: too few clients completed key sharing")
     out = {}
@@ -423,15 +446,11 @@ def _server_after_shares(state: ServerState, inbox) -> dict:
     return out
 
 
-def _server_after_masked(state: ServerState, inbox) -> dict:
-    for m in inbox:
-        state.masked[m.sender] = m.masked
+def _server_after_masked(state: ServerState) -> dict:
     return {SERVER: [SurvivorBroadcast(survivors=state.u3)]}
 
 
-def _server_after_consistency(state: ServerState, inbox) -> dict:
-    for m in inbox:
-        state.consistency[m.sender] = m
+def _server_after_consistency(state: ServerState) -> dict:
     if len(state.consistency) < state.k:
         raise ProtocolError("below threshold: too few consistency signatures")
     sigs = tuple((cid, state.consistency[cid].sig) for cid in sorted(state.consistency))
@@ -439,10 +458,7 @@ def _server_after_consistency(state: ServerState, inbox) -> dict:
     return {SERVER: [UnmaskRequest(sigs=sigs, dropped=dropped, survivors=state.u3)]}
 
 
-def _server_after_unmask(state: ServerState, inbox) -> dict:
-    for m in inbox:
-        if m.sender in state.u3:
-            state.unmask[m.sender] = m
+def _server_after_unmask(state: ServerState) -> dict:
     if len(state.unmask) < state.k:
         raise ProtocolError("below threshold: too few unmask responses")
     state.aggregate_field = _server_unmask_aggregate(state)
@@ -478,7 +494,7 @@ def _server_unmask_aggregate(state: ServerState) -> FieldVector:
         pk1 = state.adverts[cid].pk1
         pair_secrets = {j: dh_shared_secret(sk1, pk1, state.params, state.tables) for j, sk1 in dropped_sk1.items()}
         mask = client_mask(cid, sk2, pair_secrets, state.dim)
-        total = field_add(total, field_sub(state.masked[cid], mask))
+        total = field_add(total, field_sub(state.masked[cid].masked, mask))
     return total
 
 

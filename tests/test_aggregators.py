@@ -189,6 +189,13 @@ def test_centered_clip_hand_evaluated_step():
     assert out[0] == pytest.approx(0.5)
 
 
+def test_centered_clip_reaches_a_consensus_far_from_zero():
+    # from a zero center five iterations of tau 1 reach norm 5 at most; the
+    # default center, the coordinate-wise median, is the norm-10 consensus
+    v = np.full(4, 5.0)
+    assert np.array_equal(centered_clip([v.copy() for _ in range(5)]), v)
+
+
 def test_centered_clip_validation():
     with pytest.raises(ParameterError):
         centered_clip([np.zeros(2)], np.zeros(2), tau=-1.0)

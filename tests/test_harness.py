@@ -330,6 +330,24 @@ def test_cli_seed_override(tmp_path, capsys):
     assert "\n5," in out  # only the overridden seed appears
 
 
+@pytest.mark.parametrize("command", ["run", "record"])
+def test_cli_config_file_not_utf8_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe")
+    transcript = str(tmp_path / "round.jsonl")
+    args = [command, "--config", str(cfg)] + (["--transcript", transcript] if command == "record" else [])
+    assert main(args) == EXIT_CONFIG
+    assert "config file: not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_replay_transcript_not_utf8_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"kind": "secagg_run", "n": 3, "k": 2, "dim": 4})
+    transcript = tmp_path / "round.jsonl"
+    transcript.write_bytes(b"\xff\xfe")
+    assert main(["replay", "--config", cfg, "--transcript", str(transcript)]) == EXIT_CONFIG
+    assert "can't decode" in capsys.readouterr().err
+
+
 def test_cli_bad_config_value_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seeds": 5})
     assert main(["run", "--config", cfg]) == EXIT_CONFIG

@@ -129,8 +129,8 @@ def deliver_with(monkeypatch, change):
     """Make the server pass every ShareDelivery through change(recipient, msg)."""
     original = secagg._server_after_shares
 
-    def patched(state, inbox):
-        return {r: [change(r, m) for m in msgs] for r, msgs in original(state, inbox).items()}
+    def patched(state):
+        return {r: [change(r, m) for m in msgs] for r, msgs in original(state).items()}
 
     monkeypatch.setattr(secagg, "_server_after_shares", patched)
 
@@ -190,8 +190,8 @@ def test_delivery_omitting_a_peer_aborts_its_recipient(monkeypatch):
 def test_missing_share_delivery_aborts_its_recipient(monkeypatch):
     original = secagg._server_after_shares
 
-    def patched(state, inbox):
-        out = original(state, inbox)
+    def patched(state):
+        out = original(state)
         out[2] = []
         return out
 
@@ -206,8 +206,8 @@ def test_missing_share_delivery_aborts_its_recipient(monkeypatch):
 def test_doubled_survivor_broadcast_aborts_every_client(monkeypatch):
     original = secagg._server_after_masked
 
-    def patched(state, inbox):
-        out = original(state, inbox)
+    def patched(state):
+        out = original(state)
         out[secagg.SERVER] = out[secagg.SERVER] * 2
         return out
 
@@ -296,8 +296,8 @@ def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
     it signed."""
     original = secagg._server_after_consistency
 
-    def patched(state, inbox):
-        (honest,) = original(state, inbox)[secagg.SERVER]
+    def patched(state):
+        (honest,) = original(state)[secagg.SERVER]
         lying = dataclasses.replace(honest, dropped=(0,), survivors=(1, 2, 3))
         return {0: [honest], 1: [lying], 2: [lying], 3: [honest]}
 
@@ -342,6 +342,64 @@ def test_malformed_server_message_aborts_its_recipients(monkeypatch, kind, chang
     for state in run.clients.values():
         assert state.abort_reason.startswith("malformed server message")
     assert_aborted_or_exact(run.transcript, inputs)
+
+
+def with_share_values(pool, value):
+    return {j: dataclasses.replace(share, value=value) for j, share in pool.items()}
+
+
+@pytest.mark.parametrize(
+    "kind, change, refused",
+    [
+        (secagg.KeyAdvert, lambda m: {"pk1": "2"}, False),
+        (secagg.KeyAdvert, lambda m: {"sender": "0"}, True),
+        (secagg.KeyAdvert, lambda m: {"sender": 99}, False),
+        (secagg.KeyAdvert, lambda m: {"sig": None}, False),
+        (secagg.KeyShares, lambda m: {"bundles": 5}, True),
+        (secagg.KeyShares, lambda m: {"bundles": None}, True),
+        (secagg.KeyShares, lambda m: {"sender": 99}, True),
+        (secagg.KeyShares, lambda m: {"sender": "0"}, True),
+        (secagg.MaskedInput, lambda m: {"masked": secagg.FieldVector(np.zeros(3, dtype=np.uint64))}, True),
+        (secagg.MaskedInput, lambda m: {"masked": None}, True),
+        (secagg.MaskedInput, lambda m: {"sender": 99}, True),
+        (secagg.ConsistencySig, lambda m: {"sig": None}, False),
+        (secagg.ConsistencySig, lambda m: {"sender": 99}, True),
+        (secagg.UnmaskShares, lambda m: {"sk2_shares": None}, True),
+        (secagg.UnmaskShares, lambda m: {"sk2_shares": {j: 5 for j in m.sk2_shares}}, True),
+        (secagg.UnmaskShares, lambda m: {"sk1_shares": list(m.sk1_shares)}, True),
+        (secagg.UnmaskShares, lambda m: {"sender": 99}, True),
+        (secagg.UnmaskShares, lambda m: {"sk2_shares": with_share_values(m.sk2_shares, "x")}, True),
+    ],
+    ids=[
+        "advert-pk1-str", "advert-sender-str", "advert-sender-99", "advert-sig-none",
+        "shares-bundles-int", "shares-bundles-none", "shares-sender-99", "shares-sender-str",
+        "masked-dim-3", "masked-none", "masked-sender-99",
+        "consistency-sig-none", "consistency-sender-99",
+        "unmask-sk2-none", "unmask-non-share", "unmask-sk1-list", "unmask-sender-99", "unmask-share-value-str",
+    ],
+)
+def test_malformed_client_message_never_raises(monkeypatch, kind, change, refused):
+    """One field of client 0's message of one round is changed.  The round
+    never raises out of run_protocol.  A message from a sender outside the
+    previous round's set, or whose fields the server cannot read, is refused,
+    as if client 0 had dropped out before sending it, and the other clients'
+    sum is exact; client 0's input counts only if its masked input was
+    admitted."""
+    original = secagg.client_step
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        if state.cid == 0:
+            out = [dataclasses.replace(m, **change(m)) if isinstance(m, kind) else m for m in out]
+        return state, out
+
+    monkeypatch.setattr(secagg, "client_step", patched)
+    inputs = random_inputs(4, 5, seed=1)
+    t = run_protocol(inputs, k=3, seed=1, params=TOY_GROUP).transcript
+    assert_aborted_or_exact(t, inputs)
+    if refused:
+        assert not t.aborted
+        assert (0 in t.included) == (kind in (secagg.ConsistencySig, secagg.UnmaskShares))
 
 
 def stop(*args):
@@ -488,7 +546,7 @@ def test_masked_input_vector_definition():
     """c_i = encode(w_i) + M2_i + sum_{j>i} M_ij - sum_{j<i} M_ij."""
     run = run_protocol(random_inputs(3, 4, seed=10), k=2, seed=10, params=TOY_GROUP)
     state = run.clients[1]
-    c = run.server.masked[1]
+    c = run.server.masked[1].masked
     expected = field_add(encode_fixed(state.weights), prg_mask(state.kp2.sk, "m2"))
     for j in state.participants:
         if j == 1:
@@ -503,7 +561,7 @@ def test_masked_input_hides_the_plain_encoding():
     inputs = random_inputs(2, 4, seed=11)
     run = run_protocol(inputs, k=2, seed=11, params=TOY_GROUP)
     plain = encode_fixed(inputs[0])
-    assert run.server.masked[0] != plain
+    assert run.server.masked[0].masked != plain
 
 
 def test_client_phases_terminal():
