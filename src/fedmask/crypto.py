@@ -2,17 +2,18 @@
 Shamir threshold sharing, PRG mask expansion, and Schnorr signatures.
 
 Exponentiation takes a `tables` dict and has one path at any modulus:
-`modexp` keeps in the dict, for each base b, the powers b, b^(2^w),
-b^(2^2w), ... and evaluates every exponent of b from them (the fixed-base
-method of Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92).  A
-secure-aggregation round holds one such dict for all its parties: each public
-key is raised to a fresh secret exponent by every other client, and g by
-every key generation, signature and signature check, so one table serves many
-calls.  `verify` also keeps its results in that dict, so a signature
-broadcast to every client is checked once per round; it rejects a response
-too long for an honest signature before any exponentiation, so no peer
-chooses how far g's table grows.  Everything in the dict is a function of public values, every result
-is bit-identical to `pow`, and nothing is cached at module level.
+`modexp` keeps in the dict, for each base b, the squaring chain b, b^2,
+b^4, ... and evaluates every exponent of b from it, one multiply per odd
+w-bit window of the exponent (the fixed-base method of Brickell, Gordon,
+McCurley and Wilson, EUROCRYPT '92).  A secure-aggregation round holds one
+such dict for all its parties: each public key is raised to a fresh secret
+exponent by every other client, and g by every key generation, signature and
+signature check, so one table serves many calls.  `verify` also keeps its
+results in that dict, so a signature broadcast to every client is checked
+once per round; it rejects a response too long for an honest signature
+before any exponentiation, so no peer chooses how far g's table grows.
+Everything in the dict is a function of public values, every result is
+bit-identical to `pow`, and nothing is cached at module level.
 
 Shamir reconstruction uses every share it is given: it interpolates through
 the first k and rejects any further share off that polynomial.
@@ -45,10 +46,11 @@ SHARING_PRIME = MERSENNE61
 # the same field.  Exponentiation stays cheap even in the 2048-bit group.
 MAX_SECRET_EXPONENT = MERSENNE61
 
-# Bits w per exponent digit of `_table_pow`.  Measured with 61-bit
+# Bits w per odd exponent window of `_table_pow`.  Measured with 61-bit
 # exponents in the 2048-bit group, 31 exponents per base, table builds
-# included (AMD EPYC, Python 3.11): w = 3 takes 0.17-0.18 ms a call, w = 2
-# and 4 about 0.20 ms, w = 5 0.28 ms, and `pow` 0.57 ms.
+# included (2-vCPU Intel Xeon, Python 3.11.7): w = 3 and w = 4 tie at
+# 0.36-0.38 ms a call, w = 2 takes 0.40-0.41 ms, w = 5 0.46-0.49 ms, and
+# `pow` 1.3-1.4 ms.  w = 3 keeps the combine step at 7 multiplies.
 _TABLE_WINDOW = 3
 
 
@@ -78,31 +80,33 @@ def modexp(base: int, exp: int, modulus: int, tables: dict) -> int:
 
 
 def _table_pow(tables: dict, base: int, exp: int, modulus: int) -> int:
-    """base^exp mod modulus from tables[base, modulus] = [b, b^(2^w),
-    b^(2^2w), ...], b = base mod modulus, grown by squaring to as many
-    entries as exp has w-bit digits.  Digit i of exp, when it is d > 0,
-    multiplies entry i into bucket d; the result is the product of
-    bucket_d^d over d, which takes 2 * (2^w - 1) more multiplies."""
+    """base^exp mod modulus from tables[base, modulus] = [b, b^2, b^4, ...],
+    b = base mod modulus, grown by squaring to as many entries as exp has
+    bits.  exp is cut right to left into odd w-bit windows: at each set bit
+    i, the next w bits give an odd digit d, and entry i is multiplied into
+    bucket (d - 1) / 2.  With u_k the product of buckets k and above, the
+    result prod bucket_k^(2k + 1) is u_0 * (u_1 * ... * u_top)^2, which takes
+    2^w - 1 more multiplies."""
     table = tables.setdefault((base, modulus), [base % modulus])
-    digits = -(-exp.bit_length() // _TABLE_WINDOW)
-    while len(table) < digits:
-        power = table[-1]
-        for _ in range(_TABLE_WINDOW):
-            power = power * power % modulus
-        table.append(power)
+    while len(table) < exp.bit_length():
+        table.append(table[-1] * table[-1] % modulus)
     mask = (1 << _TABLE_WINDOW) - 1
-    buckets = [1] * (mask + 1)
-    for power in table[:digits]:
-        d = exp & mask
-        if d:
-            buckets[d] = buckets[d] * power % modulus
+    buckets = [1] * (1 << (_TABLE_WINDOW - 1))
+    i = 0
+    while exp:
+        zeros = (exp & -exp).bit_length() - 1
+        i += zeros
+        exp >>= zeros
+        k = (exp & mask) >> 1
+        buckets[k] = buckets[k] * table[i] % modulus
+        i += _TABLE_WINDOW
         exp >>= _TABLE_WINDOW
-    # running is the product of buckets d..2^w-1, so result = prod bucket_d^d
-    result = running = 1
+    # u steps down through u_top, ..., u_1; higher is their product
+    u = higher = 1
     for bucket in reversed(buckets[1:]):
-        running = running * bucket % modulus
-        result = result * running % modulus
-    return result
+        u = u * bucket % modulus
+        higher = higher * u % modulus
+    return higher * higher % modulus * (u * buckets[0] % modulus) % modulus
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,8 @@ def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: di
     """Whether sig is a Schnorr signature of message under pk: g^s == r *
     pk^e mod p for e the challenge of (r, message).  A malformed signature,
     and a response s of 2^64 * (2^61 - 1) or more (no honest s reaches
-    it), give False before any exponentiation.
+    it), give False before any exponentiation, so g's table grows to at
+    most 125 entries, the bit length of the largest honest s.
 
     Both exponentiations go through `modexp` with the tables dict, and the
     result is kept there under a tagged key, so every client of a round

@@ -29,12 +29,13 @@ party's `abort_reason` and ends that party's round, so a new check is one
 `raise`.  A client whose server message has fields of the wrong shape (a
 `TypeError` or `ValueError`) aborts with `malformed server message: ...`.
 
-Intake: `server_step` is the one place the server admits a client message.
-It keeps a message only if it is of the round's type, its sender is an int
-id from the previous round's set (any id in round 0; U1, U2, then U3), and
-the fields the server reads have the shape it reads them with.  Anything
-else is ignored, which is how a client that never sent the message looks:
-a dropout.
+Intake: `run_protocol`'s transport drops a client message whose `sender` is
+not the client that produced it, so no client speaks under another's id.
+`server_step` is the one place the server admits a client message.  It
+keeps a message only if it is of the round's type, its sender is an int id
+from the previous round's set (any id in round 0; U1, U2, then U3), and the
+fields the server reads have the shape it reads them with.  Anything else is
+ignored, which is how a client that never sent the message looks: a dropout.
 """
 
 from __future__ import annotations
@@ -624,6 +625,8 @@ def run_protocol(
                 continue
             state, outbox = client_step(state, pending[cid])
             pending[cid] = []
+            # the transport knows each message's producer: none goes under another id
+            outbox = [m for m in outbox if m.sender == cid]
             log.extend(outbox)
             round_msgs.extend(outbox)
         server, outboxes = server_step(server, round_msgs)

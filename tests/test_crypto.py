@@ -126,11 +126,23 @@ def test_modexp_validation():
         modexp(2, -1, 7, {})
 
 
+# Exponents at the edges of the odd 3-bit window recoding: powers of two and
+# all-ones runs, alternating bits, zero runs longer than a window, and
+# exponents whose top window ends exactly at their top bit (63 ones; 101
+# shifted by a multiple of 3 over a lone window 101).
+EDGE_EXPONENTS = (
+    7, 8, 2**61, 2**61 - 1, 2**64,
+    0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA,
+    2**60 + 1, 2**125 + 1,
+    2**63 - 1, 0b101 << 60 | 0b101,
+)
+
+
 def test_modexp_table_path_matches_pow():
     p = RFC3526_2048.prime
     tables = {}
     bases = (0, 1, 2, p - 1, p, p + 3, 5 * p + 7)
-    exps = (0, 1, 2, 2**61 - 2, 2**64 - 1, 2**125 + 0x1234567, 2**126 - 1)
+    exps = (0, 1, 2, 2**61 - 2, 2**64 - 1, 2**125 + 0x1234567, 2**126 - 1) + EDGE_EXPONENTS
     for base in bases:
         for exp in exps:
             assert modexp(base, exp, p, tables) == pow(base, exp, p)
@@ -143,10 +155,10 @@ def test_modexp_table_grows_past_its_depth():
     assert modexp(3, 2**61 - 2, p, tables) == pow(3, 2**61 - 2, p)
     (table,) = tables.values()
     depth = len(table)
-    top = 1 << (depth * crypto._TABLE_WINDOW)  # one digit past the table
-    for exp in (top - 1, top, top + 1, 3 * top - 1):
+    top = 1 << depth  # one bit past the table
+    for exp in (top - 1, top, top + 1, 2 * top - 1):
         assert modexp(3, exp, p, tables) == pow(3, exp, p)
-    assert len(table) == depth + 1
+    assert len(table) == depth + 1 == top.bit_length()
 
 
 def test_modexp_one_tables_dict_across_bases_and_exponents():
@@ -169,7 +181,7 @@ def test_modexp_small_moduli_use_the_table_path(p):
     bases = (0, 1, 2, p - 1, p, p + 3, rng.randbelow(p))
     tables = {}
     for base in bases:
-        for exp in (0, 1) + tuple(rng.randbelow(1 << int(rng.integers(1, 131))) for _ in range(12)):
+        for exp in (0, 1) + EDGE_EXPONENTS + tuple(rng.randbelow(1 << int(rng.integers(1, 131))) for _ in range(12)):
             assert modexp(base, exp, p, tables) == pow(base, exp, p)
     assert set(tables) == {(base, p) for base in bases}
 

@@ -269,7 +269,8 @@ def test_malformed_public_key_in_2048_bit_roster_aborts_its_recipients(monkeypat
 def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
     """Client 1's advert signature carries the response s + 2^20000; every
     other client rejects it before raising g to it, so g's table keeps at
-    most 42 entries, one per 3-bit digit of a 125-bit honest response."""
+    most 125 entries, one per bit of the largest honest response,
+    2^64 * (2^61 - 1)."""
     original = secagg._client_advertise
 
     def patched(state, inbox):
@@ -286,7 +287,7 @@ def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
     for cid in (0, 2, 3):
         assert run.clients[cid].abort_reason == "bad keypair signature from client 1"
     assert run.transcript.aborted
-    assert len(run.server.tables[RFC3526_2048.generator, RFC3526_2048.prime]) <= 42
+    assert len(run.server.tables[RFC3526_2048.generator, RFC3526_2048.prime]) <= 125
 
 
 def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
@@ -400,6 +401,38 @@ def test_malformed_client_message_never_raises(monkeypatch, kind, change, refuse
     if refused:
         assert not t.aborted
         assert (0 in t.included) == (kind in (secagg.ConsistencySig, secagg.UnmaskShares))
+
+
+@pytest.mark.parametrize(
+    "kind, included",
+    [
+        (secagg.KeyAdvert, (0, 1, 2)),
+        (secagg.KeyShares, (0, 1, 2)),
+        (secagg.MaskedInput, (0, 1, 2)),
+        (secagg.ConsistencySig, (0, 1, 2, 3)),
+        (secagg.UnmaskShares, (0, 1, 2, 3)),
+    ],
+    ids=["advert", "shares", "masked", "consistency", "unmask"],
+)
+def test_message_under_another_clients_id_is_not_delivered(monkeypatch, kind, included):
+    """Client 3's message of one round is relabelled as client 0's.  The
+    transport drops it, so it neither overwrites client 0's message nor
+    counts as client 3's: client 3 looks like a dropout at that round, and
+    the round returns the exact sum of the clients it includes."""
+    original = secagg.client_step
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        if state.cid == 3:
+            out = [dataclasses.replace(m, sender=0) if isinstance(m, kind) else m for m in out]
+        return state, out
+
+    monkeypatch.setattr(secagg, "client_step", patched)
+    inputs = random_inputs(4, 5, seed=1)
+    t = run_protocol(inputs, k=3, seed=1, params=TOY_GROUP).transcript
+    assert not t.aborted
+    assert tuple(t.included) == included
+    assert t.aggregate_field == field_sum_oracle([inputs[i] for i in included])
 
 
 def stop(*args):
