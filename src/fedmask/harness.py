@@ -1,8 +1,10 @@
 """Experiment orchestration: validated scenario configs, alpha/client-count
 sweeps, attack batteries, mask-cancellation checks, and report emission.
 
-Reports separate a header (timestamp, schema version) from the body; bodies
-are byte-identical across reruns with the same config and seeds.
+Each scenario kind returns its (columns, rows, summary); `run_scenario` alone
+wraps that in a report with the config echo.  Reports separate a header
+(timestamp, schema version) from the body; bodies are byte-identical across
+reruns with the same config and seeds.
 """
 
 from __future__ import annotations
@@ -155,19 +157,14 @@ def _strategy(cfg: ScenarioConfig) -> adversary.AdversaryStrategy:
     )
 
 
-_TUPLE_FIELDS = {"alphas", "client_counts", "controlled_ids", "seeds"}
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from parsed JSON; unknown keys are rejected by name."""
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown configuration key")
-    kwargs = dict(data)
-    for name in _TUPLE_FIELDS & set(kwargs):
-        if isinstance(kwargs[name], list):
-            kwargs[name] = tuple(kwargs[name])
+    # a JSON array becomes a tuple; a field that takes no list then fails its type check
+    kwargs = {name: tuple(v) if isinstance(v, list) else v for name, v in data.items()}
     dropout = kwargs.get("dropout_after")
     if isinstance(dropout, dict):
         # JSON object keys are strings; client ids are integers
@@ -175,19 +172,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             kwargs["dropout_after"] = {int(k): v for k, v in dropout.items()}
         except ValueError as exc:
             raise ConfigError(f"dropout_after: client ids must be integers ({exc})") from exc
-    # the output directory is the one environment override
-    env_out = os.environ.get("FEDMASK_OUTPUT_DIR")
-    if env_out:
-        kwargs["output_dir"] = env_out
     return ScenarioConfig(**kwargs)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    for name in _TUPLE_FIELDS:
-        d[name] = list(d[name])
-    d["dropout_after"] = {str(k): v for k, v in d["dropout_after"].items()}
-    return d
+    # json writes tuples as arrays; str client ids, since sort_keys would order int ids numerically
+    return {**dataclasses.asdict(cfg), "dropout_after": {str(k): v for k, v in cfg.dropout_after.items()}}
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -214,23 +204,24 @@ class ExperimentReport:
     columns: tuple
     rows: list  # list of tuples matching columns
     summary: dict
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     def body_json(self) -> str:
-        """Deterministic report body: identical configs give identical bytes."""
+        """Deterministic report body: identical configs give identical bytes.
+        Strict JSON: a NaN or infinity raises instead of writing a bare token."""
         return json.dumps(
             {
-                "schema_version": self.schema_version,
+                "schema_version": REPORT_SCHEMA_VERSION,
                 "config": self.config,
                 "columns": list(self.columns),
                 "rows": [list(r) for r in self.rows],
                 "summary": self.summary,
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
     def to_json(self, timestamp: str = "") -> str:
-        header = json.dumps({"timestamp": timestamp, "schema_version": self.schema_version})
+        header = json.dumps({"timestamp": timestamp, "schema_version": REPORT_SCHEMA_VERSION})
         return header + "\n" + self.body_json()
 
     def to_csv(self) -> str:
@@ -243,6 +234,8 @@ class ExperimentReport:
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -355,7 +348,7 @@ def masked_global_cell(model: TinyModel, n: int, alpha: float, eval_inputs, eval
     return float(np.mean(local_accs)), float(global_acc)
 
 
-def alpha_sweep(cfg: ScenarioConfig) -> ExperimentReport:
+def alpha_sweep(cfg: ScenarioConfig) -> tuple:
     """Client-count x alpha accuracy grid on the glyph task.
 
     Per (n, alpha): mean local accuracy of masked client models and accuracy
@@ -380,15 +373,11 @@ def alpha_sweep(cfg: ScenarioConfig) -> ExperimentReport:
             rows.append((n, float(alpha), mean_local, mean_global))
             if mean_global >= baseline - 0.02:
                 tolerance[n] = max(tolerance.get(n, 0.0), float(alpha))
-    return ExperimentReport(
-        config=scenario_to_dict(cfg),
-        columns=("n", "alpha", "mean_local_accuracy", "global_accuracy"),
-        rows=rows,
-        summary={
-            "baseline_accuracy": float(baseline),
-            "tolerance_by_n": {str(n): tolerance.get(n, 0.0) for n in cfg.client_counts},
-        },
-    )
+    summary = {
+        "baseline_accuracy": float(baseline),
+        "tolerance_by_n": {str(n): tolerance.get(n, 0.0) for n in cfg.client_counts},
+    }
+    return ("n", "alpha", "mean_local_accuracy", "global_accuracy"), rows, summary
 
 
 def _scenario_inputs(cfg: ScenarioConfig, seed: int):
@@ -402,7 +391,7 @@ def secagg_round(cfg: ScenarioConfig, seed: int):
     return inputs, secagg.run_protocol(inputs, cfg.k, seed=seed, dropout_after=cfg.dropout_after).transcript
 
 
-def attack_battery(cfg: ScenarioConfig) -> ExperimentReport:
+def attack_battery(cfg: ScenarioConfig) -> tuple:
     """Run the configured adversary strategy across the seed battery."""
     strategy = _strategy(cfg)
     rows = []
@@ -412,15 +401,12 @@ def attack_battery(cfg: ScenarioConfig) -> ExperimentReport:
         report = adversary.run_attack(scenario, strategy)
         rows.append((cfg.strategy, s, report.success, len(report.recovered_field), report.rounds_consumed))
         successes += int(report.success)
-    return ExperimentReport(
-        config=scenario_to_dict(cfg),
-        columns=("strategy", "seed", "success", "recovered_count", "rounds"),
-        rows=rows,
-        summary={"success_rate": successes / len(cfg.seeds)},
-    )
+    return ("strategy", "seed", "success", "recovered_count", "rounds"), rows, {"success_rate": successes / len(cfg.seeds)}
 
 
-def secagg_report(cfg: ScenarioConfig) -> ExperimentReport:
+def secagg_report(cfg: ScenarioConfig) -> tuple:
+    """Per seed: whether the round aborted, and the decoded aggregate's largest
+    deviation from the plain sum (None for an aborted seed)."""
     rows = []
     max_dev = 0.0
     aborts = 0
@@ -428,21 +414,16 @@ def secagg_report(cfg: ScenarioConfig) -> ExperimentReport:
         inputs, transcript = secagg_round(cfg, s)
         if transcript.aborted:
             aborts += 1
-            rows.append((s, True, transcript.abort_reason, float("nan")))
+            rows.append((s, True, transcript.abort_reason, None))
             continue
         expected = np.sum([inputs[i] for i in transcript.included], axis=0)
         dev = float(np.max(np.abs(transcript.aggregate - expected)))
         max_dev = max(max_dev, dev)
         rows.append((s, False, "", dev))
-    return ExperimentReport(
-        config=scenario_to_dict(cfg),
-        columns=("seed", "aborted", "abort_reason", "max_deviation"),
-        rows=rows,
-        summary={"aborts": aborts, "max_deviation": max_dev},
-    )
+    return ("seed", "aborted", "abort_reason", "max_deviation"), rows, {"aborts": aborts, "max_deviation": max_dev}
 
 
-def fed_training_report(cfg: ScenarioConfig) -> ExperimentReport:
+def fed_training_report(cfg: ScenarioConfig) -> tuple:
     model = pretrained_glyph_model()
     eval_inputs, eval_labels = glyph_eval_set()
     rows = []
@@ -458,15 +439,10 @@ def fed_training_report(cfg: ScenarioConfig) -> ExperimentReport:
         )
         trained = fedcore.run_fedavg(model, parts, fed_cfg, rng.child("fed"))
         rows.append((s, accuracy(trained, eval_inputs, eval_labels)))
-    return ExperimentReport(
-        config=scenario_to_dict(cfg),
-        columns=("seed", "global_accuracy"),
-        rows=rows,
-        summary={"mean_accuracy": float(np.mean([r[1] for r in rows]))},
-    )
+    return ("seed", "global_accuracy"), rows, {"mean_accuracy": float(np.mean([r[1] for r in rows]))}
 
 
-def clt_report(cfg: ScenarioConfig) -> ExperimentReport:
+def clt_report(cfg: ScenarioConfig) -> tuple:
     rows = []
     worst = 0.0
     for n in cfg.client_counts:
@@ -476,12 +452,7 @@ def clt_report(cfg: ScenarioConfig) -> ExperimentReport:
             cell = clt_check(n, alpha, dim=cfg.dim, n_seeds=cfg.n_mask_seeds, seed=cfg.seeds[0])
             rows.append((n, alpha, cell["predicted_std"], cell["empirical_std"], cell["rel_err"]))
             worst = max(worst, cell["rel_err"])
-    return ExperimentReport(
-        config=scenario_to_dict(cfg),
-        columns=("n", "alpha", "predicted_std", "empirical_std", "rel_err"),
-        rows=rows,
-        summary={"max_rel_err": worst},
-    )
+    return ("n", "alpha", "predicted_std", "empirical_std", "rel_err"), rows, {"max_rel_err": worst}
 
 
 def _clt_failure(report: ExperimentReport) -> str | None:
@@ -492,7 +463,7 @@ def _clt_failure(report: ExperimentReport) -> str | None:
 
 @dataclass(frozen=True)
 class Scenario:
-    build: Callable[[ScenarioConfig], ExperimentReport]
+    build: Callable[[ScenarioConfig], tuple]  # the kind's (columns, rows, summary)
     alias: str | None = None  # CLI subcommand that runs this kind directly
     # pass/fail rule on the finished report: a failure message, or None
     check: Callable[[ExperimentReport], str | None] = lambda report: None
@@ -510,8 +481,10 @@ SCENARIOS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> ExperimentReport:
-    """Run a validated scenario through its table row; optionally save reports."""
-    report = SCENARIOS[cfg.kind].build(cfg)
+    """Run a validated scenario through its table row and wrap its rows in the
+    one report envelope, with the config echo; optionally save reports."""
+    columns, rows, summary = SCENARIOS[cfg.kind].build(cfg)
+    report = ExperimentReport(config=scenario_to_dict(cfg), columns=columns, rows=rows, summary=summary)
     if cfg.output_dir:
         base = os.path.join(cfg.output_dir, f"{cfg.kind}-report")
         stamp = datetime.now(timezone.utc).isoformat()

@@ -31,15 +31,7 @@ from fedmask.attacks import (
 from fedmask.crypto import TOY_GROUP, shamir_split
 from fedmask.data import make_gaussian_mixture, make_glyphs, make_token_corpus
 from fedmask.fedcore import DpConfig, _sample_group, dp_sgd
-from fedmask.harness import (
-    alpha_sweep,
-    attack_battery,
-    clt_check,
-    clt_report,
-    fed_training_report,
-    scenario_from_dict,
-    secagg_report,
-)
+from fedmask.harness import clt_check, run_scenario, scenario_from_dict
 from fedmask.models import Batch, backward, flatten, init_model, per_example_backward, train_bigram, unflatten
 from fedmask.numeric import Rng, encode_fixed, field_sum, uniform_mask, vec_mean
 from fedmask.secagg import run_protocol
@@ -152,7 +144,7 @@ def test_criterion_04_mask_mean_std_matches_prediction():
 def test_criterion_05_local_destroyed_global_preserved():
     start = time.perf_counter()
     cfg = scenario_from_dict({"kind": "alpha_sweep", "seeds": [0, 1, 2]})
-    rep = alpha_sweep(cfg)
+    rep = run_scenario(cfg)
     baseline = rep.summary["baseline_accuracy"]
     assert baseline >= 0.95
     # at n=100 some alpha drives mean local accuracy to near-chance while the
@@ -420,18 +412,15 @@ def test_criterion_11_private_sgd_contracts():
 def test_criterion_12_reports_reproduce_byte_identically():
     start = time.perf_counter()
     cases = [
-        (secagg_report, {"kind": "secagg_run", "n": 3, "k": 2, "dim": 4, "seeds": [0, 1]}),
-        (
-            attack_battery,
-            {"kind": "attack_demo", "n": 5, "k": 3, "dim": 4, "strategy": "share_compromise",
-             "controlled_ids": [0, 1, 2], "seeds": [0]},
-        ),
-        (fed_training_report, {"kind": "fed_training", "n": 2, "alpha": 0.1, "seeds": [0]}),
-        (alpha_sweep, {"kind": "alpha_sweep", "client_counts": [10], "alphas": [0.0, 0.5], "seeds": [0]}),
-        (clt_report, {"kind": "clt_check", "client_counts": [10], "alphas": [0.5], "dim": 50, "n_mask_seeds": 5}),
+        {"kind": "secagg_run", "n": 3, "k": 2, "dim": 4, "seeds": [0, 1]},
+        {"kind": "attack_demo", "n": 5, "k": 3, "dim": 4, "strategy": "share_compromise",
+         "controlled_ids": [0, 1, 2], "seeds": [0]},
+        {"kind": "fed_training", "n": 2, "alpha": 0.1, "seeds": [0]},
+        {"kind": "alpha_sweep", "client_counts": [10], "alphas": [0.0, 0.5], "seeds": [0]},
+        {"kind": "clt_check", "client_counts": [10], "alphas": [0.5], "dim": 50, "n_mask_seeds": 5},
     ]
-    for fn, data in cases:
-        first = fn(scenario_from_dict(dict(data))).body_json()
-        second = fn(scenario_from_dict(dict(data))).body_json()
+    for data in cases:
+        first = run_scenario(scenario_from_dict(dict(data))).body_json()
+        second = run_scenario(scenario_from_dict(dict(data))).body_json()
         assert first == second, data["kind"]
     report(12, "identical seeds give byte-identical report bodies", time.perf_counter() - start, 120)

@@ -15,10 +15,7 @@ from fedmask.harness import (
     ConfigError,
     DEFAULT_ALPHAS,
     ExperimentReport,
-    alpha_sweep,
-    attack_battery,
     clt_check,
-    clt_report,
     glyph_eval_set,
     load_scenario,
     masked_global_cell,
@@ -26,7 +23,6 @@ from fedmask.harness import (
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    secagg_report,
     write_atomic,
 )
 from fedmask.models import accuracy
@@ -108,7 +104,7 @@ def test_clt_check_needs_two_seeds():
 def test_config_accepts_a_client_that_never_advertises():
     # run_protocol takes round -1 ("never advertises"), so the config does too
     cfg = scenario_from_dict({"n": 3, "k": 2, "dropout_after": {"0": -1}})
-    report = secagg_report(cfg)
+    report = run_scenario(cfg)
     assert report.summary["aborts"] == 0
     assert report.summary["max_deviation"] < 2**-20
 
@@ -135,12 +131,6 @@ def test_load_scenario_file_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_scenario(str(arr))
-
-
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FEDMASK_OUTPUT_DIR", str(tmp_path))
-    cfg = scenario_from_dict({})
-    assert cfg.output_dir == str(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def test_clt_report_rows():
     cfg = scenario_from_dict(
         {"kind": "clt_check", "client_counts": [10], "alphas": [0.0, 0.5], "dim": 50, "n_mask_seeds": 5}
     )
-    report = clt_report(cfg)
+    report = run_scenario(cfg)
     assert len(report.rows) == 1  # alpha=0 skipped
     assert report.summary["max_rel_err"] >= 0
 
@@ -237,7 +227,7 @@ def test_alpha_sweep_report_shape():
     cfg = scenario_from_dict(
         {"kind": "alpha_sweep", "client_counts": [10], "alphas": [0.0, 0.5], "seeds": [0]}
     )
-    report = alpha_sweep(cfg)
+    report = run_scenario(cfg)
     assert report.columns == ("n", "alpha", "mean_local_accuracy", "global_accuracy")
     assert len(report.rows) == 2
     assert "tolerance_by_n" in report.summary
@@ -247,15 +237,35 @@ def test_attack_battery_success_rate():
     cfg = scenario_from_dict(
         {"kind": "attack_demo", "n": 3, "k": 2, "dim": 4, "strategy": "honest_but_curious", "seeds": [0, 1]}
     )
-    report = attack_battery(cfg)
+    report = run_scenario(cfg)
     assert report.summary["success_rate"] == 0.0
 
 
 def test_secagg_report_zero_deviation_modulo_quantization():
     cfg = scenario_from_dict({"kind": "secagg_run", "n": 3, "k": 2, "dim": 4, "seeds": [0]})
-    report = secagg_report(cfg)
+    report = run_scenario(cfg)
     assert report.summary["aborts"] == 0
     assert report.summary["max_deviation"] < 2**-18
+
+
+def test_aborted_seed_report_is_strict_json():
+    # an aborted seed has no deviation: the body holds null, the CSV an empty cell
+    cfg = scenario_from_dict({"n": 4, "k": 4, "dropout_after": {"0": 1}, "seeds": [0, 1]})
+    report = run_scenario(cfg)
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    body = json.loads(report.body_json(), parse_constant=refuse)
+    assert [row[1] for row in body["rows"]] == [True, True]
+    assert [row[3] for row in body["rows"]] == [None, None]
+    assert [line.split(",")[-1] for line in report.to_csv().splitlines()[2:]] == ["", ""]
+
+
+def test_report_body_refuses_nan():
+    report = ExperimentReport(config={}, columns=("x",), rows=[(math.nan,)], summary={})
+    with pytest.raises(ValueError):
+        report.body_json()
 
 
 def test_run_scenario_writes_reports(tmp_path):

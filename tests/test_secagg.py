@@ -2,6 +2,7 @@
 paths, mask sign convention, and transcript replay."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -312,6 +313,84 @@ def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
     assert len(sk1_shares_of_0) < k
 
 
+def rewrite_server_messages(monkeypatch, kind, change):
+    """Make server_step send each outgoing message m of the given type as
+    dataclasses.replace(m, **change(to, m)), where to is its outbox key."""
+    original = secagg.server_step
+
+    def patched(state, inbox):
+        state, out = original(state, inbox)
+        return state, {
+            to: [dataclasses.replace(m, **change(to, m)) if isinstance(m, kind) else m for m in msgs]
+            for to, msgs in out.items()
+        }
+
+    monkeypatch.setattr(secagg, "server_step", patched)
+
+
+def split_view_victim_input(run):
+    """Client 0's input as the server rebuilds it from the unmask responses it
+    holds (its sk1 and sk2, then its mask), or None when either key does not
+    reconstruct."""
+    server = run.server
+    try:
+        sk1 = secagg._reconstruct(server, 0, "sk1")
+        sk2 = secagg._reconstruct(server, 0, "sk2")
+    except crypto.ProtocolError:
+        return None
+    pair_secrets = {j: crypto.dh_shared_secret(sk1, server.adverts[j].pk1, server.params, {}) for j in server.u1 if j != 0}
+    return field_sub(server.masked[0].masked, client_mask(0, sk2, pair_secrets, server.dim))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (5, 3),
+        pytest.param(
+            4,
+            2,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="with k <= n/2 a split-view server gets k sk1 shares from one side and k sk2 shares from the other",
+            ),
+        ),
+    ],
+)
+def test_split_survivor_view_recovers_no_input(monkeypatch, n, k):
+    """For every group A of clients 1..n-1, the server tells A that client 0
+    dropped after sending its masked input and tells the others the truth.
+    Each client's UnmaskRequest carries only the signatures over the list it
+    signed, so no client sees the other list: A reveals sk1 shares of client
+    0 and the others sk2 shares of it.  A signature-count rule cannot stop
+    this, because each side has its own signers; only k > n/2, so that the
+    two sides cannot both hold k share holders, does (Bonawitz et al., CCS
+    2017)."""
+
+    def listed(cid, u3):
+        return tuple(j for j in u3 if j != 0) if cid in group_a else u3
+
+    def after_masked(state):
+        return {cid: [secagg.SurvivorBroadcast(survivors=listed(cid, state.u3))] for cid in state.u2}
+
+    def after_consistency(state):
+        out = {}
+        for cid in state.u3:
+            survivors = listed(cid, state.u3)
+            sigs = tuple((j, m.sig) for j, m in sorted(state.consistency.items()) if m.participants == survivors)
+            dropped = tuple(sorted(set(state.u2) - set(survivors)))
+            out[cid] = [secagg.UnmaskRequest(sigs=sigs, dropped=dropped, survivors=survivors)]
+        return out
+
+    monkeypatch.setattr(secagg, "_server_after_masked", after_masked)
+    monkeypatch.setattr(secagg, "_server_after_consistency", after_consistency)
+    inputs = random_inputs(n, 5, seed=1)
+    for size in range(n):
+        for group_a in itertools.combinations(range(1, n), size):
+            run = run_protocol(inputs, k=k, seed=1, params=TOY_GROUP)
+            assert split_view_victim_input(run) != encode_fixed(inputs[0]), group_a
+
+
 @pytest.mark.parametrize(
     "kind, change",
     [
@@ -328,21 +407,48 @@ def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
 def test_malformed_server_message_aborts_its_recipients(monkeypatch, kind, change):
     """A server message field of the wrong shape aborts every client that
     receives it, instead of raising out of run_protocol."""
-    original = secagg.server_step
-
-    def patched(state, inbox):
-        state, out = original(state, inbox)
-        return state, {
-            to: [dataclasses.replace(m, **change(m)) if isinstance(m, kind) else m for m in msgs]
-            for to, msgs in out.items()
-        }
-
-    monkeypatch.setattr(secagg, "server_step", patched)
+    rewrite_server_messages(monkeypatch, kind, lambda to, m: change(m))
     inputs = random_inputs(4, 5, seed=1)
     run = run_protocol(inputs, k=3, seed=1, params=TOY_GROUP)
     for state in run.clients.values():
         assert state.abort_reason.startswith("malformed server message")
     assert_aborted_or_exact(run.transcript, inputs)
+
+
+@pytest.mark.parametrize(
+    "kind, change, reasons",
+    [
+        (secagg.RosterBroadcast, lambda to, m: {"roster": m.roster[:2]},
+         ["below threshold at key sharing"] * 2 + ["roster leaves out client 2", "roster leaves out client 3"]),
+        (secagg.ShareDelivery, lambda to, m: {"bundles": m.bundles[:1], "participants": tuple(sorted({to, m.bundles[0][0]}))},
+         ["below threshold at masked input"] * 4),
+        (secagg.UnmaskRequest, lambda to, m: {"dropped": (1,), "survivors": (1, 2, 3)},
+         ["server requested both masks for one client"] * 4),
+    ],
+    ids=["roster-of-two", "one-bundle", "both-masks"],
+)
+def test_hostile_server_message_aborts_with_its_named_reason(monkeypatch, kind, change, reasons):
+    """A server message a client can read but must refuse: a roster below
+    the threshold, a delivery of fewer than k consistent participants, and
+    an unmask request for both keys of one client."""
+    rewrite_server_messages(monkeypatch, kind, change)
+    inputs = random_inputs(4, 5, seed=1)
+    run = run_protocol(inputs, k=3, seed=1, params=TOY_GROUP)
+    assert [state.abort_reason for state in run.clients.values()] == reasons
+    assert run.transcript.aborted
+    assert_aborted_or_exact(run.transcript, inputs)
+
+
+def test_server_keeps_key_shares_only_from_advertised_int_ids():
+    """server_step, called directly with no transport in front of it, stores
+    a KeyShares only from an int id that advertised: not from client 2, which
+    did not, nor from the sender True, which equals id 1."""
+    adverts = {cid: secagg.KeyAdvert(sender=cid, pk1=2, pk2=2, sig=None) for cid in (0, 1)}
+    state = secagg.ServerState(k=2, dim=5, params=TOY_GROUP, round=1, adverts=adverts)
+    shares = [secagg.KeyShares(sender=sender, bundles={}) for sender in (0, 1, 2, True)]
+    state, _ = secagg.server_step(state, shares)
+    assert list(state.share_msgs) == [0, 1]
+    assert state.share_msgs[0] is shares[0] and state.share_msgs[1] is shares[1]
 
 
 def with_share_values(pool, value):
@@ -481,16 +587,7 @@ def test_roster_naming_a_client_twice_aborts(monkeypatch, n, k):
     reads share x as the x-th client's of its own, so a repeated smallest id
     shifts every share to f(x + 1), still on one polynomial: without the
     client's check these rounds return a wrong sum with no abort."""
-    original = secagg.server_step
-
-    def patched(state, inbox):
-        state, out = original(state, inbox)
-        return state, {
-            to: [dataclasses.replace(m, roster=m.roster + m.roster[:1]) if isinstance(m, secagg.RosterBroadcast) else m for m in msgs]
-            for to, msgs in out.items()
-        }
-
-    monkeypatch.setattr(secagg, "server_step", patched)
+    rewrite_server_messages(monkeypatch, secagg.RosterBroadcast, lambda to, m: {"roster": m.roster + m.roster[:1]})
     inputs = random_inputs(n, 5, seed=1)
     run = run_protocol(inputs, k=k, seed=1, params=TOY_GROUP)
     for state in run.clients.values():
