@@ -1,8 +1,8 @@
-"""Federated training loops: FedAvg over masked client updates, DP-SGD with
-and without a final mask, and a basic-composition privacy accountant.
+"""Federated training: one FedAvg round of masked client steps, DP-SGD with
+and without a final mask, and basic composition of its per-step privacy cost.
 
 The mask defense adds uniform noise U[-alpha, alpha] to local weights once,
-after all local steps; under aggregation over many clients the noise averages
+after the local step; under aggregation over many clients the noise averages
 toward zero while each individual masked model stays obscured.  Every FedAvg
 client update is masked; alpha 0 is the zero mask, so it trains unmasked.
 """
@@ -22,19 +22,13 @@ from .numeric import ParameterError, Rng, check_alpha, uniform_mask
 
 @dataclass(frozen=True)
 class FedConfig:
-    n_clients: int
-    t_global: int = 1
     alpha: float = 0.0
     aggregator: str = "mean"
     aggregator_params: dict = field(default_factory=dict)
-    t_local: ClassVar[int] = 1
     eta: ClassVar[float] = 0.1
     loss: ClassVar[str] = "cross_entropy"
 
     def __post_init__(self):
-        for name in ("n_clients", "t_global"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
         check_alpha(self.alpha)
         aggregators.rule_for(self.aggregator)
 
@@ -62,23 +56,11 @@ class DpConfig:
             raise ParameterError("noise requires a finite clip threshold")
 
 
-@dataclass
-class PrivacyLedger:
-    entries: list[tuple[float, float]] = field(default_factory=list)
-
-    def record(self, epsilon: float, delta: float) -> None:
-        self.entries.append((epsilon, delta))
-
-    @property
-    def totals(self) -> tuple[float, float]:
-        return compose_privacy(self.entries)
-
-
 def compose_privacy(entries) -> tuple[float, float]:
     """Basic composition: epsilons and deltas add."""
     entries = list(entries)
     if not entries:
-        raise ParameterError("empty privacy ledger")
+        raise ParameterError("no privacy entries to compose")
     return (float(sum(e for e, _ in entries)), float(sum(d for _, d in entries)))
 
 
@@ -97,43 +79,30 @@ def _step_epsilon(cfg: DpConfig, sampling_rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def client_update(model: TinyModel, inputs, labels, t_local: int, eta: float, loss: str = "cross_entropy") -> np.ndarray:
-    """Run t_local full-batch steps of `models.sgd_step`; return the updated
-    flat weights (read-only, as `flatten` gives them)."""
-    if t_local < 1:
-        raise ParameterError("t_local must be >= 1")
-    batch = Batch(inputs=inputs, labels=labels)
-    for _ in range(t_local):
-        model = sgd_step(model, batch, eta, loss)
-    return flatten(model)
+def masked_client_update(model: TinyModel, inputs, labels, alpha: float, rng: Rng) -> np.ndarray:
+    """One full-batch `models.sgd_step` at FedConfig.eta on FedConfig.loss,
+    then one uniform mask drawn from rng (alpha 0 is the zero mask); returns
+    the masked flat weights.
 
-
-def masked_client_update(
-    model: TinyModel, inputs, labels, t_local: int, eta: float, alpha: float, rng: Rng, loss: str = "cross_entropy"
-) -> np.ndarray:
-    """client_update plus a single uniform mask applied after all local steps."""
-    w = client_update(model, inputs, labels, t_local, eta, loss)
+    `run_fedavg` gives client cid the stream rng.child("round", 0, "client",
+    cid), the path every FedAvg report and digest was recorded with.
+    """
+    w = flatten(sgd_step(model, Batch(inputs=inputs, labels=labels), FedConfig.eta, FedConfig.loss))
     return w + uniform_mask(w.shape[0], alpha, rng)
 
 
 def run_fedavg(model: TinyModel, partitions, cfg: FedConfig, rng: Rng) -> TinyModel:
-    """Full FedAvg loop over cfg.t_global rounds of masked client updates.
+    """One FedAvg round (FedSGD): every partition is a client that returns
+    its masked update, and cfg.aggregator combines them.
 
     Aggregation consumes client results in client-id order, so outcomes are
     seed-reproducible regardless of how clients would be scheduled.
     """
-    if len(partitions) != cfg.n_clients:
-        raise ParameterError("one data partition per client required")
-    current = model
-    for t in range(cfg.t_global):
-        updates = [
-            masked_client_update(
-                current, x, y, cfg.t_local, cfg.eta, cfg.alpha, rng.child("round", t, "client", cid), cfg.loss
-            )
-            for cid, (x, y) in enumerate(partitions)
-        ]
-        current = unflatten(current, aggregators.aggregate(cfg.aggregator, updates, **cfg.aggregator_params))
-    return current
+    updates = [
+        masked_client_update(model, x, y, cfg.alpha, rng.child("round", 0, "client", cid))
+        for cid, (x, y) in enumerate(partitions)
+    ]
+    return unflatten(model, aggregators.aggregate(cfg.aggregator, updates, **cfg.aggregator_params))
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +119,16 @@ def _sample_group(n: int, cfg: DpConfig, rng: Rng, step: int) -> np.ndarray:
 
 def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):
     """Clip per-example gradients, add Gaussian noise to the group sum, and
-    descend; returns (flat weights, privacy ledger)."""
+    descend; returns (flat weights, per-step (epsilon, delta) entries), which
+    `compose_privacy` totals."""
     batch = Batch(inputs=inputs, labels=labels)
     n = batch.size
     rate = min(1.0, cfg.group_size / n)
     w = flatten(model)
-    ledger = PrivacyLedger()
+    entries = []
     for t in range(cfg.steps):
         idx = _sample_group(n, cfg, rng, t)
-        ledger.record(_step_epsilon(cfg, rate), cfg.delta_target)
+        entries.append((_step_epsilon(cfg, rate), cfg.delta_target))
         if idx.size == 0:
             continue
         current = unflatten(model, w)
@@ -173,12 +143,12 @@ def dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng):
             )
             total = total + noise
         w = w - cfg.eta * (total / cfg.group_size)
-    return w, ledger
+    return w, entries
 
 
 def masked_dp_sgd(model: TinyModel, inputs, labels, cfg: DpConfig, alpha: float, rng: Rng):
     """dp_sgd followed by one final uniform mask (noise kept out of the local
     steps so local convergence is unaffected by the mask)."""
-    w, ledger = dp_sgd(model, inputs, labels, cfg, rng)
-    return w + uniform_mask(w.shape[0], alpha, rng.child("final-mask")), ledger
+    w, entries = dp_sgd(model, inputs, labels, cfg, rng)
+    return w + uniform_mask(w.shape[0], alpha, rng.child("final-mask")), entries
 

@@ -266,7 +266,7 @@ def check_seed_count(n_seeds: int) -> None:
         raise ParameterError("need at least 2 seeds")
 
 
-def clt_check(n: int, alpha: float, dim: int = 100, n_seeds: int = 30, seed: int = 0) -> dict:
+def clt_check(n: int, alpha: float, dim: int, n_seeds: int, seed: int) -> dict:
     """Empirical std of the mean of n uniform masks vs alpha / sqrt(3 n).
 
     One mask per client per seed; the statistic pools the mean vector's
@@ -431,12 +431,7 @@ def fed_training_report(cfg: ScenarioConfig) -> tuple:
         rng = Rng(s)
         inputs, labels = make_glyphs(FED_GLYPHS_PER_CLASS, rng.child("data"))
         parts = partition(inputs, labels, cfg.n, rng.child("partition"))
-        fed_cfg = fedcore.FedConfig(
-            n_clients=cfg.n,
-            alpha=cfg.alpha,
-            aggregator=cfg.aggregator,
-            aggregator_params=dict(cfg.aggregator_params),
-        )
+        fed_cfg = fedcore.FedConfig(alpha=cfg.alpha, aggregator=cfg.aggregator, aggregator_params=dict(cfg.aggregator_params))
         trained = fedcore.run_fedavg(model, parts, fed_cfg, rng.child("fed"))
         rows.append((s, accuracy(trained, eval_inputs, eval_labels)))
     return ("seed", "global_accuracy"), rows, {"mean_accuracy": float(np.mean([r[1] for r in rows]))}

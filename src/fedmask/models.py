@@ -71,7 +71,7 @@ class TinyModel:
 
     sizes: tuple[int, ...]
     params: np.ndarray
-    activation: str = "sigmoid"
+    activation: str
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -107,12 +107,11 @@ class TinyModel:
         return self.params.shape[0]
 
 
-def init_model(sizes, activation: str = "sigmoid", rng: Rng | None = None) -> TinyModel:
+def init_model(sizes, activation: str, rng: Rng) -> TinyModel:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)], seed-pinned."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ParameterError("need at least input and output sizes, all positive")
-    rng = rng if rng is not None else Rng(0)
     parts = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)

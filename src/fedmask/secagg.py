@@ -350,6 +350,10 @@ def _client_unmask(state: ClientState, msg: UnmaskRequest) -> tuple[ClientState,
         pk1 = state.roster.get(cid, (None, None))[0]
         if pk1 is None or not verify(expected, sig, pk1, state.params, state.tables):
             raise ProtocolError(f"bad consistency signature from client {cid}")
+    # k signers of this client's survivor list, itself among them, before it
+    # reveals any share
+    if len({cid for cid, _ in msg.sigs} | {state.cid}) < state.k:
+        raise ProtocolError("below threshold at unmasking")
     held = state.held_shares
     sk1_shares = {j: held[j][0] for j in msg.dropped if j in held and j != state.cid}
     sk2_shares = {i: held[i][1] for i in msg.survivors if i in held}

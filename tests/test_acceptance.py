@@ -30,7 +30,7 @@ from fedmask.attacks import (
 )
 from fedmask.crypto import TOY_GROUP, shamir_split
 from fedmask.data import make_gaussian_mixture, make_glyphs, make_token_corpus
-from fedmask.fedcore import DpConfig, _sample_group, dp_sgd
+from fedmask.fedcore import DpConfig, _sample_group, compose_privacy, dp_sgd
 from fedmask.harness import clt_check, run_scenario, scenario_from_dict
 from fedmask.models import Batch, backward, flatten, init_model, per_example_backward, train_bigram, unflatten
 from fedmask.numeric import Rng, encode_fixed, field_sum, uniform_mask, vec_mean
@@ -393,12 +393,12 @@ def test_criterion_11_private_sgd_contracts():
     w_plain = sgd_loop(model, inputs, labels, free, Rng(13).child("s"))
     assert np.array_equal(w_dp, w_plain)
 
-    # ledger composition: T identical steps compose to (T e, T d)
+    # privacy composition: T identical steps compose to (T e, T d)
     noisy = DpConfig(noise_scale=1.0, clip_threshold=0.1, group_size=8, steps=7)
-    _, ledger = dp_sgd(model, inputs, labels, noisy, Rng(14).child("s"))
+    _, entries = dp_sgd(model, inputs, labels, noisy, Rng(14).child("s"))
     rate = min(1.0, noisy.group_size / inputs.shape[0])
     step_eps = rate * np.sqrt(2.0 * np.log(1.25 / noisy.delta_target)) / noisy.noise_scale
-    total_eps, total_delta = ledger.totals
+    total_eps, total_delta = compose_privacy(entries)
     assert abs(total_eps - noisy.steps * step_eps) < 1e-12
     assert abs(total_delta - noisy.steps * noisy.delta_target) < 1e-18
     report(11, "clipping, plain-SGD equivalence, and ledger composition", time.perf_counter() - start, 30)

@@ -189,9 +189,9 @@ def test_dlg_attack_known_grad_shape_checked():
         ),
         (
             FedConfig,
-            {"n_clients": 2},
-            ["n_clients", "t_global", "alpha", "aggregator", "aggregator_params"],
-            {"t_local": 1, "eta": 0.1, "loss": "cross_entropy"},
+            {},
+            ["alpha", "aggregator", "aggregator_params"],
+            {"eta": 0.1, "loss": "cross_entropy"},
         ),
         (
             DpConfig,

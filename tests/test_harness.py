@@ -98,7 +98,7 @@ def test_bad_config_rejected(data):
 def test_clt_check_needs_two_seeds():
     # the rule the config applies to n_mask_seeds
     with pytest.raises(ParameterError, match="^need at least 2 seeds$"):
-        clt_check(3, 0.5, n_seeds=1)
+        clt_check(3, 0.5, dim=100, n_seeds=1, seed=0)
 
 
 def test_config_accepts_a_client_that_never_advertises():
@@ -179,7 +179,7 @@ def test_clt_check_matches_prediction():
 
 
 def test_clt_check_zero_alpha_degenerate():
-    cell = clt_check(10, 0.0, dim=10, n_seeds=3)
+    cell = clt_check(10, 0.0, dim=10, n_seeds=3, seed=0)
     assert cell["empirical_std"] == 0.0
     assert cell["rel_err"] == 0.0
 

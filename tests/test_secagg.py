@@ -424,13 +424,16 @@ def test_malformed_server_message_aborts_its_recipients(monkeypatch, kind, chang
          ["below threshold at masked input"] * 4),
         (secagg.UnmaskRequest, lambda to, m: {"dropped": (1,), "survivors": (1, 2, 3)},
          ["server requested both masks for one client"] * 4),
+        (secagg.UnmaskRequest, lambda to, m: {"sigs": ()},
+         ["below threshold at unmasking"] * 4),
     ],
-    ids=["roster-of-two", "one-bundle", "both-masks"],
+    ids=["roster-of-two", "one-bundle", "both-masks", "no-sigs"],
 )
 def test_hostile_server_message_aborts_with_its_named_reason(monkeypatch, kind, change, reasons):
     """A server message a client can read but must refuse: a roster below
-    the threshold, a delivery of fewer than k consistent participants, and
-    an unmask request for both keys of one client."""
+    the threshold, a delivery of fewer than k consistent participants, an
+    unmask request for both keys of one client, and an unmask request that
+    carries fewer than k consistency signatures."""
     rewrite_server_messages(monkeypatch, kind, change)
     inputs = random_inputs(4, 5, seed=1)
     run = run_protocol(inputs, k=3, seed=1, params=TOY_GROUP)
