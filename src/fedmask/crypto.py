@@ -18,6 +18,11 @@ bit-identical to `pow`, and nothing is cached at module level.
 Shamir reconstruction uses every share it is given: it interpolates through
 the first k and rejects any further share off that polynomial.
 
+Masks and share bundles read one keystream: SHAKE-256, the extendable-output
+function of FIPS 202, over a label, `|` and the seed's canonical big-endian
+bytes.  `prg_expand` uses the label `prg` and `stream_xor` the label `stream`,
+so one seed gives them different streams.
+
 Everything here is simulation-grade.  No constant-time guarantees, no side
 channel resistance, and key sizes are chosen for determinism and speed, not
 security.
@@ -255,46 +260,34 @@ def shamir_reconstruct(shares) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sha256_counter_stream(label: bytes, seed: int, nbytes: int) -> bytes:
-    """First nbytes of SHA-256(SHA-256(label | seed) || counter_be64), counter = 0, 1, ...
-
-    The seed is hashed in its canonical big-endian byte encoding, and each
-    block digests the 32-byte base followed by the counter as 8 big-endian
-    bytes.
-    """
-    base = hashlib.sha256(hashlib.sha256(label + b"|" + _canonical_bytes(seed)).digest())
-    blocks = []
-    for counter in range(-(-nbytes // 32)):
-        block = base.copy()
-        block.update(counter.to_bytes(8, "big"))
-        blocks.append(block.digest())
-    return b"".join(blocks)[:nbytes]
+def _keystream(label: bytes, seed: int, nbytes: int) -> bytes:
+    """First nbytes of SHAKE-256(label | seed), the seed in its canonical
+    big-endian bytes; a shorter keystream is a prefix of a longer one."""
+    return hashlib.shake_256(label + b"|" + _canonical_bytes(seed)).digest(nbytes)
 
 
 def prg_expand(seed: int, dim: int) -> FieldVector:
     """Deterministically expand a seed into dim field elements.
 
-    Keystream: SHA-256(SHA-256(b"prg|" + seed) || counter_be64) for counter
-    = 0, 1, ..., with the seed in its canonical big-endian bytes.  Element i
-    is the i-th big-endian 64-bit word of that stream reduced mod 2^61 - 1, so
-    each 32-byte block yields four elements and a shorter expansion is a
-    prefix of a longer one.  Both protocol parties holding the same seed
-    derive the identical vector.
+    Keystream: SHAKE-256 (FIPS 202) over b"prg|" followed by the seed's
+    canonical big-endian bytes.  Element i is the i-th big-endian 64-bit word
+    of that stream reduced mod 2^61 - 1, so a shorter expansion is a prefix of
+    a longer one.  Both protocol parties holding the same seed derive the
+    identical vector.
     """
     if dim < 1:
         raise ParameterError("dim must be >= 1")
-    stream = _sha256_counter_stream(b"prg", seed, 8 * dim)
+    stream = _keystream(b"prg", seed, 8 * dim)
     return field_reduce(np.frombuffer(stream, dtype=">u8", count=dim))
 
 
 def stream_xor(key_seed: int, data: bytes) -> bytes:
-    """XOR data with a SHA-256 counter-mode keystream derived from key_seed.
+    """XOR data with a SHAKE-256 (FIPS 202) keystream derived from key_seed.
 
-    Keystream: SHA-256(SHA-256(b"stream|" + key_seed) || counter_be64) for
-    counter = 0, 1, ..., with the seed in its canonical big-endian bytes,
-    cut to len(data).  Applying it twice returns the data.
+    Keystream: SHAKE-256 over b"stream|" followed by the key seed's canonical
+    big-endian bytes, cut to len(data).  Applying it twice returns the data.
     """
-    keystream = _sha256_counter_stream(b"stream", key_seed, len(data))
+    keystream = _keystream(b"stream", key_seed, len(data))
     return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(len(data), "big")
 
 

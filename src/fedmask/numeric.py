@@ -179,7 +179,8 @@ class FieldVector:
     DEFAULT_FRAC_BITS fractional bits.  Every field vector uses this one
     field; ``modulus`` and ``frac_bits`` are read-only class constants.
 
-    residues: uint64 array, every entry in [0, p), read-only.  It is stored
+    residues: uint64 array, every entry in [0, p), read-only.  The input must
+    have an integer dtype; a float or bool array raises.  It is stored
     without a copy and its writeable flag is cleared, so a vector in a
     delivered message cannot change before its transcript is serialized.
     """
@@ -189,7 +190,11 @@ class FieldVector:
     frac_bits: ClassVar[int] = DEFAULT_FRAC_BITS
 
     def __post_init__(self):
-        r = np.asarray(self.residues, dtype=np.uint64)
+        r = np.asarray(self.residues)
+        # a cast to uint64 would truncate floats and read bools as 0/1
+        if r.dtype.kind not in "ui":
+            raise ParameterError(f"residues must be integers, got dtype {r.dtype}")
+        r = r.astype(np.uint64, copy=False)
         if r.ndim != 1:
             raise ParameterError("residues must be 1-D")
         if np.any(r >= _P):

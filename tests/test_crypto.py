@@ -31,7 +31,7 @@ from fedmask.crypto import (
     stream_xor,
     verify,
 )
-from fedmask.numeric import FieldVector, ParameterError, Rng, encode_fixed, field_sum
+from fedmask.numeric import FieldVector, ParameterError, Rng, encode_fixed, field_reduce, field_sum
 
 
 def naive_modexp(base, exp, modulus):
@@ -381,6 +381,8 @@ def test_prg_prefix_stability():
     short = prg_expand(42, 10)
     long = prg_expand(42, 50)
     assert np.array_equal(short.residues, long.residues[:10])
+    # at a realistic model size too, one word past a power of two
+    assert np.array_equal(prg_expand(42, 8192).residues, prg_expand(42, 8193).residues[:8192])
 
 
 def test_stream_xor_involution():
@@ -396,6 +398,20 @@ def test_stream_xor_key_sensitivity():
     assert stream_xor(1, data) != stream_xor(2, data)
 
 
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 500])
+def test_stream_xor_of_a_prefix_is_a_prefix(m):
+    # 31 to 33 straddle a 32-byte edge; 500 spans four 136-byte SHAKE-256 blocks
+    data = Rng(15).child("prefix").integers(0, 256, size=500).astype(np.uint8).tobytes()
+    assert stream_xor(12345, data[:m]) == stream_xor(12345, data)[:m]
+
+
+def test_prg_and_stream_labels_separate_the_keystreams():
+    # one seed: the words its mask reads are not its bundle keystream's words
+    for seed in (0, 42, SHARING_PRIME - 1):
+        bundle_words = field_reduce(np.frombuffer(stream_xor(seed, bytes(8 * 64)), dtype=">u8"))
+        assert np.mean(bundle_words.residues != prg_expand(seed, 64).residues) >= 0.99
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -406,30 +422,22 @@ def _canonical(value: int) -> bytes:
 
 def reference_prg_expand(seed, dim):
     # one word at a time: the layout prg_expand documents
-    base = hashlib.sha256(b"prg|" + _canonical(seed)).digest()
-    words = []
-    counter = 0
-    while len(words) < dim:
-        block = hashlib.sha256(base + counter.to_bytes(8, "big")).digest()
-        words += [int.from_bytes(block[off : off + 8], "big") % SHARING_PRIME for off in range(0, 32, 8)]
-        counter += 1
-    return FieldVector(np.array(words[:dim], dtype=np.uint64))
+    stream = hashlib.shake_256(b"prg|" + _canonical(seed)).digest(8 * dim)
+    words = [int.from_bytes(stream[8 * i : 8 * i + 8], "big") % SHARING_PRIME for i in range(dim)]
+    return FieldVector(np.array(words, dtype=np.uint64))
 
 
 def reference_stream_xor(key_seed, data):
-    base = hashlib.sha256(b"stream|" + _canonical(key_seed)).digest()
-    out = bytearray()
-    for counter in range(-(-len(data) // 32)):
-        block = hashlib.sha256(base + counter.to_bytes(8, "big")).digest()
-        out += bytes(d ^ k for d, k in zip(data[32 * counter : 32 * counter + 32], block))
-    return bytes(out)
+    # one byte at a time
+    keystream = hashlib.shake_256(b"stream|" + _canonical(key_seed)).digest(len(data))
+    return bytes(d ^ k for d, k in zip(data, keystream))
 
 
 @pytest.mark.parametrize(
     "seed, dim, digest",
     [
-        (42, 10, "de2b15980b970682"),
-        (987654321, 8193, "172c0e47028c6445"),
+        (42, 10, "ab2f45cfa4531780"),
+        (987654321, 8193, "2abf37ce2829f7f2"),
     ],
 )
 def test_prg_known_answers(seed, dim, digest):
@@ -439,11 +447,11 @@ def test_prg_known_answers(seed, dim, digest):
 @pytest.mark.parametrize(
     "n, digest",
     [
-        (1, "8a8de823d5ed3e12"),
-        (31, "93bdeb5339299e2d"),
-        (32, "f93e9a07bdbef6da"),
-        (33, "c24e92e89d0f634c"),
-        (500, "c5aa87411176a1d9"),
+        (1, "bbf3f11cb5b43e70"),
+        (31, "f6476a8d19c2bb1d"),
+        (32, "3dbd3ae0678b5885"),
+        (33, "1390c2547edbec26"),
+        (500, "8b81a9102debe359"),
     ],
 )
 def test_stream_xor_known_answers(n, digest):
@@ -454,7 +462,7 @@ def test_transcript_known_answer():
     # pins every PRG mask and every encrypted share bundle of a round with a dropout
     inputs = [Rng(1).child(i).uniform(-1, 1, 37) for i in range(5)]
     run = secagg.run_protocol(inputs, 3, seed=11, dropout_after={0: 1}, params=TOY_GROUP)
-    assert _digest(run.transcript.to_jsonl().encode()) == "81e12b8ae6e33f9e"
+    assert _digest(run.transcript.to_jsonl().encode()) == "cae1e361adc4ebac"
 
 
 def test_transcript_known_answer_dropouts_in_three_rounds():
@@ -465,7 +473,7 @@ def test_transcript_known_answer_dropouts_in_three_rounds():
     t = run.transcript
     assert t.included == (1, 2, 3, 4, 5)
     assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
-    assert _digest(t.to_jsonl().encode()) == "d543d2719dec7788"
+    assert _digest(t.to_jsonl().encode()) == "5dbb96680b28de9c"
 
 
 def test_transcript_known_answer_rfc3526():
@@ -476,7 +484,7 @@ def test_transcript_known_answer_rfc3526():
     t = secagg.run_protocol(inputs, 3, seed=13, dropout_after={0: 1}, params=RFC3526_2048).transcript
     assert t.included == (1, 2, 3, 4)
     assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
-    assert _digest(t.to_jsonl().encode()) == "8a8b3f32ec7aaa3b"
+    assert _digest(t.to_jsonl().encode()) == "17a5281ec4dce3a6"
 
 
 @settings(max_examples=40, deadline=None)

@@ -317,6 +317,24 @@ def test_field_vector_validation():
         FieldVector(np.zeros(2, dtype=np.uint64), 8380417)
 
 
+@pytest.mark.parametrize(
+    "residues",
+    [np.array([1.5, 2.7]), np.array([True, False]), np.array([1.0, 2.0]), np.array([1 + 0j]), np.array([], dtype=float)],
+    ids=["float", "bool", "whole-float", "complex", "empty-float"],
+)
+def test_field_vector_rejects_non_integer_residues(residues):
+    # a cast to uint64 would give [1, 2] for [1.5, 2.7] and 0/1 for bools
+    with pytest.raises(ParameterError, match="integers"):
+        FieldVector(residues)
+
+
+def test_field_vector_accepts_every_integer_dtype():
+    for dtype in (np.uint8, np.uint64, np.int32, np.int64):
+        fv = FieldVector(np.array([0, 1, 5], dtype=dtype))
+        assert fv.residues.dtype == np.uint64
+        assert fv.residues.tolist() == [0, 1, 5]
+
+
 def test_field_vectors_are_read_only():
     """Residues are stored without a copy and cannot be written in place, so a
     delivered vector stays as it was sent until its transcript is written."""

@@ -792,35 +792,59 @@ def test_message_counts_match_closed_forms(n, dropout):
     assert all(len(m.bundles) == len(u2) - 1 for m in by_type["ShareDelivery"])
 
 
+def count_calls(monkeypatch, original):
+    """A list that gets each result of `original`, called through any of its
+    bindings in crypto, secagg and adversary: every binding is counted, as
+    the benchmark's tracer wraps them."""
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for module in (crypto, secagg, adversary):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    return results
+
+
 @pytest.mark.parametrize("n, d", [(4, 0), (5, 1), (6, 2)])
 def test_modexp_calls_match_cost_formula(monkeypatch, n, d):
     """One crypto.modexp call per exponentiation in a 2048-bit round with d
     clients dropped after key sharing: 2n key generations, n advert
     signatures and 2n modexps to verify them, 2n(n - 1) key agreements,
     n - d consistency signatures and 2(n - d) to verify them, and (n - d)d
-    pair secrets on the server.  Every binding is counted, as the
-    benchmark's tracer wraps them.  The round is run twice, and each must
-    make them all."""
-    calls = 0
-    original = crypto.modexp
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    for module in (crypto, secagg, adversary):
-        for name, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, name, counted)
+    pair secrets on the server.  The round is run twice, and each must make
+    them all."""
+    calls = count_calls(monkeypatch, crypto.modexp)
     inputs = random_inputs(n, 3, seed=24)
     # rounds share nothing: a second same-seed round redoes every check
     for _ in range(2):
-        calls = 0
+        calls.clear()
         t = run_protocol(inputs, k=3, seed=24, dropout_after={i: 1 for i in range(d)}, params=RFC3526_2048).transcript
         assert t.included == tuple(range(d, n))
         assert t.aggregate_field == field_sum_oracle(inputs[d:])
-        assert calls == 5 * n + 2 * n * (n - 1) + 3 * (n - d) + (n - d) * d
+        assert len(calls) == 5 * n + 2 * n * (n - 1) + 3 * (n - d) + (n - d) * d
+
+
+@pytest.mark.parametrize("n, d", [(4, 0), (5, 1), (6, 2)])
+def test_prg_and_stream_calls_match_cost_formula(monkeypatch, n, d):
+    """With d clients dropped after key sharing, a round expands
+    (n - d)(n + 1 + d) masks of dim words: each of the n - d survivors its
+    self mask and n - 1 pairwise masks, and the server each survivor's self
+    mask and its pairwise mask with each dropped client.  It makes
+    (2n - d)(n - 1) stream_xor calls: each client encrypts a share bundle
+    for each peer, and each survivor decrypts the n - 1 it is delivered."""
+    masks = count_calls(monkeypatch, crypto.prg_expand)
+    bundles = count_calls(monkeypatch, crypto.stream_xor)
+    inputs = random_inputs(n, 5, seed=25)
+    t = run_protocol(inputs, k=3, seed=25, dropout_after={i: 1 for i in range(d)}, params=TOY_GROUP).transcript
+    assert t.included == tuple(range(d, n))
+    assert t.aggregate_field == field_sum_oracle(inputs[d:])
+    assert len(masks) == (n - d) * (n + 1 + d)
+    assert {m.dim for m in masks} == {5}
+    assert len(bundles) == (2 * n - d) * (n - 1)
 
 
 def test_decoded_aggregate_matches_field_decode():
