@@ -44,6 +44,15 @@ _ACT_DERIV = {
     "identity": None,
 }
 
+# d theta'/da of each derivative above, again in terms of a; zero for relu
+# and identity, whose terms are skipped
+_ACT_CURV = {
+    "sigmoid": lambda a: 1.0 - 2.0 * a,
+    "relu": None,
+    "tanh": lambda a: -2.0 * a,
+    "identity": None,
+}
+
 
 def count_params(sizes) -> int:
     """Weights and biases of a dense network with these layer sizes."""
@@ -165,11 +174,13 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-# The three kernels below are the only layer recursions.  Each writes into
-# the arrays it is given, and allocates (through the ufunc) any given as
-# None: the allocating functions after them (forward_trace, trace_gradient,
-# input_gradient, per_example_backward) validate and pass None, and the GAN
-# attack passes buffers it allocates once per attack.
+# The four kernels below are the only layer recursions.  Each writes into
+# the arrays it is given, and the first three allocate (through the ufunc)
+# any given as None: the allocating functions after them (forward_trace,
+# trace_gradient, input_gradient, per_example_backward) validate and pass
+# None, and the GAN and DLG attacks pass buffers they allocate once per
+# attack.  The fourth, DLG's double backpropagation, writes its two
+# gradients into given arrays and allocates its per-layer temporaries.
 
 
 def _trace_buffers(sizes, activation: str, x: np.ndarray, out: np.ndarray | None = None):
@@ -214,6 +225,48 @@ def _param_gradient(acts, deltas, grad_layers) -> None:
     for a, delta, (grad_w, grad_b) in zip(acts, deltas, grad_layers):
         np.matmul(a.T, delta, out=grad_w)
         np.add.reduce(delta, axis=0, out=grad_b)
+
+
+def _matching_backprop(layers, activation: str, acts, deltas, scratch, targets, resid_layers, grad_x, grad_y) -> None:
+    """Double backpropagation of the batch-averaged mse loss L: write into
+    ``grad_x`` and ``grad_y`` the gradients over the inputs ``acts[0]`` and
+    the ``targets`` of Phi = <grad_theta L, r>, with r held fixed in its
+    per-layer ``(w, b)`` views ``resid_layers``.  ``acts``, ``deltas`` and
+    ``scratch`` are as ``_forward`` and ``_backprop`` left them for L; the
+    per-layer temporaries are allocated.
+
+    Phi = sum_i delta_i . (a_i Rw_i + Rb_i), so a sweep forward over the
+    delta recursion gives each p_i = dPhi/d delta_i, and a sweep back
+    carries the adjoint of each activation to the inputs (Pearlmutter,
+    "Fast Exact Multiplication by the Hessian", 1994).  Each derivative
+    theta'(z) = s(a) adds p * q * ds/da to its activation's adjoint, q
+    being the delta before it was multiplied by s.
+    """
+    n, batch = len(layers), acts[0].shape[0]
+    deriv, curv = _ACT_DERIV[activation] is not None, _ACT_CURV[activation]
+    tangents, t = [], None
+    for i, ((w, _), (rw, rb)) in enumerate(zip(layers, resid_layers)):
+        p = acts[i] @ rw
+        p += rb
+        if i:
+            p += t @ w
+        tangents.append(p)
+        t = p * scratch[i] if deriv else p  # dPhi/dq_i
+    np.divide(t, -batch, out=grad_y)
+    # the adjoint of the output a_n, through q = (a_n - targets) / batch
+    # and through s(a_n)
+    adj = t / batch
+    if curv is not None:
+        adj += p * (acts[-1] - targets) / batch * curv(acts[-1])
+    for i in range(n - 1, -1, -1):
+        w, rw = layers[i][0], resid_layers[i][0]
+        if deriv:
+            adj *= scratch[i]  # now the adjoint of z_i
+        a = np.matmul(adj, w.T, out=None if i else grad_x)
+        a += deltas[i] @ rw.T
+        if i and curv is not None:
+            a += tangents[i - 1] * (deltas[i] @ w.T) * curv(acts[i])
+        adj = a
 
 
 def forward_trace(model: TinyModel, X: np.ndarray):

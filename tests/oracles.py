@@ -33,3 +33,16 @@ def sgd_loop(model: TinyModel, inputs, labels, cfg: DpConfig, rng: Rng) -> np.nd
             total = total + g
         w = w - cfg.eta * (total / cfg.group_size)
     return w
+
+
+def loop_fd_gradient(objective, v, h):
+    """Central differences of ``objective`` at the vector ``v``, one pair of
+    probe points v + h e_i, v - h e_i per coordinate."""
+    g = np.empty_like(v)
+    for i in range(v.shape[0]):
+        vp = v.copy()
+        vp[i] += h
+        vm = v.copy()
+        vm[i] -= h
+        g[i] = (objective(vp) - objective(vm)) / (2.0 * h)
+    return g

@@ -15,7 +15,6 @@ from fedmask.attacks import (
     GanPair,
     GanSchedule,
     LP_PROB_FLOOR,
-    _batched_fd_gradient,
     default_gan_pair,
     dlg_attack,
     gan_attack,
@@ -26,8 +25,19 @@ from fedmask.attacks import (
 )
 from fedmask.data import make_gaussian_mixture, make_glyphs, make_token_corpus, mixture_means
 from fedmask.fedcore import DpConfig, FedConfig
-from fedmask.models import Batch, TinyModel, backward, flatten, init_model, train_bigram, unflatten
+from fedmask.models import (
+    Batch,
+    TinyModel,
+    backward,
+    flatten,
+    forward_trace,
+    init_model,
+    trace_gradient,
+    train_bigram,
+    unflatten,
+)
 from fedmask.numeric import ParameterError, Rng, uniform_mask
+from oracles import loop_fd_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +54,15 @@ def test_gradient_difference_zero_at_truth():
     assert gradient_difference(model, g, x, y) == 0.0
 
 
+def exact_gradient(model, known, v):
+    """The attack's gradient of D at v, from its objective's buffers."""
+    match = attacks._Matching(model, known)
+    match.objective(v)
+    return match.gradient().copy()
+
+
 def test_fd_gradient_matches_analytic_on_linear_model():
-    """Central finite differences of the gradient-difference objective vs the
+    """The exact gradient of the gradient-difference objective vs the
     closed-form derivative for a single linear layer with mse loss."""
     din, dout = 3, 2
     rng = Rng(1).child("lin")
@@ -57,7 +74,7 @@ def test_fd_gradient_matches_analytic_on_linear_model():
     known = np.concatenate([G.ravel(), h_t])
     v = rng.uniform(-1, 1, din + dout)
 
-    fd = _batched_fd_gradient(model, known, v.copy(), 1e-4 * np.eye(din + dout))
+    exact = exact_gradient(model, known, v)
 
     # analytic: r = xW + b - y; grad_w = x^T r, grad_b = r
     x, y = v[:din], v[din:]
@@ -75,52 +92,72 @@ def test_fd_gradient_matches_analytic_on_linear_model():
             gy[j] += 2 * (x[i] * r[j] - G[i, j]) * (-x[i])
         gy[j] += 2 * (r[j] - h_t[j]) * (-1.0)
     analytic = np.concatenate([gx, gy])
-    assert np.max(np.abs(fd - analytic)) / max(np.max(np.abs(analytic)), 1.0) < 1e-6
+    assert np.max(np.abs(exact - analytic)) / max(np.max(np.abs(analytic)), 1.0) < 1e-12
 
 
-def loop_fd_gradient(objective, v, h):
-    """Reference: one objective call per probe point, coordinate by
-    coordinate, as the attack computed its gradient before batching."""
-    g = np.empty_like(v)
-    for i in range(v.shape[0]):
-        vp = v.copy()
-        vp[i] += h
-        vm = v.copy()
-        vm[i] -= h
-        g[i] = (objective(vp) - objective(vm)) / (2.0 * h)
-    return g
-
-
-def test_batched_fd_gradient_matches_probe_loop():
-    """Criterion 06's 64-8-4 tanh setup, seed 0: at the dummy start point and
-    the first five iterates the batched probes agree with the loop."""
-    seed = 0
+def criterion_06_setup(seed):
+    """Criterion 06's 64-8-4 tanh model, one glyph and its true gradient."""
     model = init_model((64, 8, 4), "tanh", Rng(seed).child("model"))
     inputs, _ = make_glyphs(1, Rng(seed).child("data"))
     y = Rng(seed).child("y").uniform(-1.0, 1.0, 4)
     truth = Batch(inputs=inputs[:1], labels=y[None, :])
     _, known = backward(model, truth, "mse")
-    cfg = DlgConfig(seed=seed)
-    points = [Rng(seed).child("dlg-init").normal(0.0, cfg.init_scale, 68)]
-    for iterations in range(1, 6):
+    return model, known, truth
+
+
+def dlg_iterates(model, known, truth, seed, count):
+    """The dummy start point and the first ``count`` iterates of the attack."""
+    points = [Rng(seed).child("dlg-init").normal(0.0, DlgConfig.init_scale, 68)]
+    for iterations in range(1, count + 1):
         report = dlg_attack(model, known, truth, DlgConfig(seed=seed, iterations=iterations))
         points.append(np.concatenate([report.recovered_x, report.recovered_y]))
-    assert len({p.tobytes() for p in points}) == 6
+    assert len({p.tobytes() for p in points}) == count + 1
+    return points
+
+
+def test_exact_gradient_matches_central_differences_on_dlg_iterates():
+    """Criterion 06's setup, seed 0: at the dummy start point and the first
+    five iterates the exact gradient agrees with central differences."""
+    model, known, truth = criterion_06_setup(0)
 
     def objective(vec):
         return gradient_difference(model, known, vec[:64], vec[64:])
 
-    for v in points:
-        want = loop_fd_gradient(objective, v, cfg.fd_step)
-        got = _batched_fd_gradient(model, known, v, cfg.fd_step * np.eye(68))
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    for v in dlg_iterates(model, known, truth, 0, 5):
+        want = loop_fd_gradient(objective, v, 1e-5)
+        got = exact_gradient(model, known, v)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def test_dlg_objectives_are_gradient_difference_bit_for_bit(monkeypatch):
+    """The attack's first objective is gradient_difference at the start point
+    and each recorded one is gradient_difference at its iterate, bit for
+    bit; both equal D formed from trace_gradient."""
+    model, known, truth = criterion_06_setup(0)
+    points = dlg_iterates(model, known, truth, 0, 5)
+    seen = []
+    objective = attacks._Matching.objective
+
+    def recording(self, v):
+        seen.append(objective(self, v))
+        return seen[-1]
+
+    monkeypatch.setattr(attacks._Matching, "objective", recording)
+    report = dlg_attack(model, known, truth, DlgConfig(seed=0, iterations=5))
+    monkeypatch.undo()
+    want = [gradient_difference(model, known, v[:64], v[64:]) for v in points]
+    assert seen[0] == want[0]
+    assert report.trace == want[1:]
+    for v, d in zip(points, want):
+        r = trace_gradient(model, forward_trace(model, v[None, :64]), v[None, 64:], "mse") - known
+        assert float(r @ r) == d
 
 
 def test_dlg_known_answer():
     """Criterion 06's setup (64-8-4 tanh model, one glyph) at seeds 0-2,
     unmasked and at the failure alpha, 200 iterations each: pins the
-    objective traces and the recovered pairs.  The digest was computed before
-    the per-example kernel was rewritten."""
+    objective traces and the recovered pairs, which follow the exact
+    gradient of D."""
     h = hashlib.sha256()
     for seed in range(3):
         model = init_model((64, 8, 4), "tanh", Rng(seed).child("model"))
@@ -137,7 +174,7 @@ def test_dlg_known_answer():
             h.update(np.asarray(report.trace, dtype=np.float64).tobytes())
             h.update(report.recovered_x.tobytes())
             h.update(report.recovered_y.tobytes())
-    assert h.hexdigest()[:16] == "14fe3ca577e843d2"
+    assert h.hexdigest()[:16] == "b9a4e1f75bcfb8c9"
 
 
 def test_dlg_recovers_single_example_small_model():
@@ -154,8 +191,30 @@ def test_dlg_recovers_single_example_small_model():
 
 
 def test_dlg_config_validation():
-    with pytest.raises(ParameterError):
-        DlgConfig(iterations=0)
+    """Bools, floats (even integral ones) and counts below the minimum are
+    refused at construction, naming the field; numpy integers are counts."""
+    for bad in (
+        {"iterations": 0},
+        {"iterations": 2.5},
+        {"iterations": True},
+        {"iterations": 2.0},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
+    ):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            DlgConfig(**bad)
+    cfg = DlgConfig(iterations=np.int64(3), seed=np.uint32(7))
+    assert (cfg.iterations, cfg.seed) == (3, 7)
+
+
+def test_dlg_attack_rejects_mismatched_truth(monkeypatch):
+    """A truth batch narrower than the model's inputs is rejected before the
+    first objective is formed."""
+    model, known, _ = criterion_06_setup(0)
+    monkeypatch.setattr(attacks, "_Matching", None)
+    with pytest.raises(ParameterError, match="truth"):
+        dlg_attack(model, known, Batch(inputs=np.zeros((1, 10)), labels=np.zeros((1, 4))), DlgConfig())
 
 
 def test_dlg_attack_known_grad_shape_checked():
@@ -179,7 +238,7 @@ def test_dlg_attack_known_grad_shape_checked():
             DlgConfig,
             {},
             ["iterations", "seed"],
-            {"eta": 0.1, "fd_step": 1e-4, "mse_threshold": 0.01, "init_scale": 0.3},
+            {"eta": 0.1, "mse_threshold": 0.01, "init_scale": 0.3},
         ),
         (
             GanSchedule,
@@ -274,6 +333,11 @@ def test_gan_schedule_validation():
         {"steps_per_epoch": 0},
         {"alpha": 2.0},
         {"alpha": -0.1},
+        {"epochs": 11.5},
+        {"epochs": True},
+        {"steps_per_epoch": True},
+        {"batch_size": 2.5},
+        {"batch_size": 64.0},
     ):
         with pytest.raises(ParameterError):
             GanSchedule(**bad)

@@ -12,6 +12,7 @@ from fedmask.models import (
     _backprop,
     _forward,
     _layers,
+    _matching_backprop,
     _output_delta,
     _param_gradient,
     _trace_buffers,
@@ -35,7 +36,7 @@ from fedmask.models import (
     unflatten,
 )
 from fedmask.numeric import ParameterError, Rng
-from oracles import xor_batch
+from oracles import loop_fd_gradient, xor_batch
 
 # Layer configurations exercised by the gradient-correctness matrix.
 LAYER_MATRIX = [
@@ -442,6 +443,51 @@ def test_property_kernels_reuse_one_workspace(seed, activation, loss, sizes, B):
     want_deltas = _averaged_deltas(model, (want_pre, want_acts), y2, loss)
     assert all(np.array_equal(got, want) for got, want in zip(deltas, want_deltas))
     assert np.array_equal(grad, trace_gradient(model, (want_pre, want_acts), y2, loss))
+
+
+def matching_objective(model, known, B):
+    """D(v) = || grad_w L(X, Y) - known ||^2 for the batch-averaged mse loss
+    over the flattened rows v = (X, Y), from the allocating functions."""
+    din = model.input_dim
+
+    def objective(v):
+        X, Y = v[: B * din].reshape(B, din), v[B * din :].reshape(B, -1)
+        r = trace_gradient(model, forward_trace(model, X), Y, "mse") - known
+        return float(r @ r)
+
+    return objective
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(ACTIVATIONS),
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    B=st.integers(1, 3),
+)
+def test_property_matching_backprop_matches_central_differences(seed, activation, sizes, B):
+    """Twice the double-backprop gradient of <grad_w L, r>, r = grad_w L - K
+    held fixed, is the gradient of D over the inputs and targets: it agrees
+    with central differences of D for every activation, 1-3 layers, 1-3
+    rows and a random K."""
+    model, x, y = per_example_case(seed, activation, "mse", tuple(sizes), B)
+    known = Rng(seed).child("known").normal(0.0, 1.0, model.param_count)
+    n = len(sizes) - 1
+    pre, acts = forward_trace(model, x)
+    deltas, scratch = [None] * (n - 1) + [(acts[-1] - y) / B], [None] * n
+    _backprop(model.layers, activation, pre, acts, deltas, scratch)
+    resid = np.empty(model.param_count)
+    _param_gradient(acts, deltas, _layers(model.sizes, resid))
+    resid -= known
+    gx, gy = np.empty_like(x), np.empty_like(y)
+    _matching_backprop(model.layers, activation, acts, deltas, scratch, y, _layers(model.sizes, resid), gx, gy)
+    got = 2.0 * np.concatenate([gx.ravel(), gy.ravel()])
+    objective = matching_objective(model, known, B)
+    v = np.concatenate([x.ravel(), y.ravel()])
+    want = loop_fd_gradient(objective, v, 1e-6)
+    # the floor D covers a vanishing gradient, where central differences
+    # leave only rounding of order eps * D / h
+    assert np.max(np.abs(got - want)) <= 1e-6 * max(np.max(np.abs(want)), objective(v))
 
 
 def reference_per_example_backward(model, x, y, loss):
