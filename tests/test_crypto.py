@@ -1,9 +1,15 @@
 """Modular exponentiation, Diffie-Hellman, Shamir sharing, PRG expansion,
 stream cipher, and Schnorr signatures."""
 
+import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -126,7 +132,7 @@ def test_modexp_validation():
         modexp(2, -1, 7, {})
 
 
-# Exponents at the edges of the odd 3-bit window recoding: powers of two and
+# Exponents at the edges of a windowed exponentiation: powers of two and
 # all-ones runs, alternating bits, zero runs longer than a window, and
 # exponents whose top window ends exactly at their top bit (63 ones; 101
 # shifted by a multiple of 3 over a lone window 101).
@@ -139,6 +145,7 @@ EDGE_EXPONENTS = (
 
 
 def test_modexp_table_path_matches_pow():
+    """Every base and exponent at one modulus runs from one context."""
     p = RFC3526_2048.prime
     tables = {}
     bases = (0, 1, 2, p - 1, p, p + 3, 5 * p + 7)
@@ -146,19 +153,20 @@ def test_modexp_table_path_matches_pow():
     for base in bases:
         for exp in exps:
             assert modexp(base, exp, p, tables) == pow(base, exp, p)
-    assert set(tables) == {(base, p) for base in bases}
+    assert set(tables) == {("modexp", p)}
 
 
 def test_modexp_table_grows_past_its_depth():
+    """A context first used with a 61-bit exponent serves longer ones, up to
+    a 4096-bit exponent, and stays the dict's one entry."""
     p = RFC3526_2048.prime
     tables = {}
     assert modexp(3, 2**61 - 2, p, tables) == pow(3, 2**61 - 2, p)
-    (table,) = tables.values()
-    depth = len(table)
-    top = 1 << depth  # one bit past the table
-    for exp in (top - 1, top, top + 1, 2 * top - 1):
+    (context,) = tables.values()
+    top = 1 << 61  # one bit past the first exponent
+    for exp in (top - 1, top, top + 1, 2 * top - 1, 2**300 + 1, 2**4096 - 1):
         assert modexp(3, exp, p, tables) == pow(3, exp, p)
-    assert len(table) == depth + 1 == top.bit_length()
+    assert tables == {("modexp", p): context}
 
 
 def test_modexp_one_tables_dict_across_bases_and_exponents():
@@ -170,20 +178,59 @@ def test_modexp_one_tables_dict_across_bases_and_exponents():
         base = bases[i % 2]
         exp = rng.randbelow(1 << int(rng.integers(1, 130)))
         assert modexp(base, exp, p, tables) == pow(base, exp, p)
-    assert len(tables) == 2
+    assert list(tables) == [("modexp", p)]
 
 
 @pytest.mark.parametrize("p", [2, 23, TOY_GROUP.prime, 2**61 - 1, 2**64 - 59])
 def test_modexp_small_moduli_use_the_table_path(p):
-    """Moduli of 64 bits or fewer go through the tables too: one entry per
-    base, each result equal to pow."""
+    """Moduli of 64 bits or fewer, the even modulus 2 included, run from one
+    context per modulus too, each result equal to pow."""
     rng = Rng(4).child("small", p)
     bases = (0, 1, 2, p - 1, p, p + 3, rng.randbelow(p))
     tables = {}
     for base in bases:
         for exp in (0, 1) + EDGE_EXPONENTS + tuple(rng.randbelow(1 << int(rng.integers(1, 131))) for _ in range(12)):
             assert modexp(base, exp, p, tables) == pow(base, exp, p)
-    assert set(tables) == {(base, p) for base in bases}
+    assert set(tables) == {("modexp", p)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.one_of(st.sampled_from([2, 4, 1000, 2**64, TOY_GROUP.prime, RFC3526_2048.prime]), st.integers(2, 2**300)),
+    base=st.integers(-(2**2100), 2**2100),
+    exp=st.integers(0, 2**300),
+)
+def test_property_modexp_equals_pow(modulus, base, exp):
+    """Even and composite moduli, negative bases and bases of the modulus or
+    more, and exponents up to 2^300: one context per modulus, pow's result."""
+    tables = {}
+    assert modexp(base, exp, modulus, tables) == pow(base, exp, modulus)
+    assert modexp(-base, exp + 1, modulus, tables) == pow(-base, exp + 1, modulus)
+    assert list(tables) == [("modexp", modulus)]
+
+
+def test_modexp_context_is_freed_with_its_round():
+    """A round's libcrypto context lives in the round's tables dict and goes
+    with it; a copy of the dict gets a context of its own."""
+    run = secagg.run_protocol([np.zeros(2)] * 3, k=2, seed=0, params=RFC3526_2048)
+    context = run.server.tables["modexp", RFC3526_2048.prime]
+    copied = copy.deepcopy(run.server.tables)["modexp", RFC3526_2048.prime]
+    assert copied is not context and copied.pow(3, 2**61 + 5) == pow(3, 2**61 + 5, RFC3526_2048.prime)
+    ref = weakref.ref(context)
+    del run, context, copied
+    gc.collect()
+    assert ref() is None
+
+
+def test_import_loads_neither_ssl_nor_subprocess():
+    """libcrypto is found by soname: no `ssl` module (its memory) and no
+    `subprocess` (ctypes.util.find_library's ldconfig run) in a fresh
+    process that imports fedmask."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crypto.__file__)))
+    code = "import sys, fedmask; print(sorted({'ssl', 'subprocess'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("base, exp", [(2.0, 3), ("2", 3), (2, 3.0), (2, "3"), (None, 3)])

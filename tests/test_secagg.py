@@ -269,9 +269,9 @@ def test_malformed_public_key_in_2048_bit_roster_aborts_its_recipients(monkeypat
 
 def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
     """Client 1's advert signature carries the response s + 2^20000; every
-    other client rejects it before raising g to it, so g's table keeps at
-    most 125 entries, one per bit of the largest honest response,
-    2^64 * (2^61 - 1)."""
+    other client rejects it before raising g to it, so no exponentiation of
+    the round has an exponent of 2^64 * (2^61 - 1) or more, the bound on an
+    honest response."""
     original = secagg._client_advertise
 
     def patched(state, inbox):
@@ -282,13 +282,21 @@ def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
         sig = dataclasses.replace(advert.sig, response=advert.sig.response + 2**20000)
         return state, [dataclasses.replace(advert, sig=sig)]
 
+    exponents = []
+    original_modexp = crypto.modexp
+
+    def counted(base, exp, modulus, tables):
+        exponents.append(exp)
+        return original_modexp(base, exp, modulus, tables)
+
     monkeypatch.setattr(secagg, "_client_advertise", patched)
+    monkeypatch.setattr(crypto, "modexp", counted)
     inputs = random_inputs(4, 3, seed=23)
     run = run_protocol(inputs, k=3, seed=23, params=RFC3526_2048)
     for cid in (0, 2, 3):
         assert run.clients[cid].abort_reason == "bad keypair signature from client 1"
     assert run.transcript.aborted
-    assert len(run.server.tables[RFC3526_2048.generator, RFC3526_2048.prime]) <= 125
+    assert exponents and max(exponents) < crypto.MAX_SECRET_EXPONENT << 64
 
 
 def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
