@@ -13,23 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .crypto import (
-    DhParams,
-    ProtocolError,
-    RFC3526_2048,
-    ThresholdError,
-    dh_shared_secret,
-    shamir_reconstruct,
-)
-from .numeric import (
-    ParameterError,
-    Rng,
-    as_vector,
-    clip_for_encoding,
-    encode_fixed,
-    field_sub,
-)
-from .secagg import ProtocolRun, client_mask, run_protocol
+from .crypto import DhParams, ProtocolError, RFC3526_2048, ThresholdError, shamir_reconstruct
+from .numeric import ParameterError, Rng, as_vector, clip_for_encoding, encode_fixed
+from .secagg import ProtocolRun, run_protocol, unmask_sum
+
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
@@ -85,23 +72,22 @@ class AttackReport:
 
 
 def _recover(run: ProtocolRun, controlled) -> dict:
-    """Each survivor outside controlled -> its encoded input, unmasked as the
-    server unmasks a survivor, from its sk1 and sk2 rebuilt out of the shares
-    the controlled clients hold; sk1 and each peer's pk1 give the pair secrets.
-    Raises ThresholdError when the controlled hold fewer than k shares."""
+    """Each survivor outside controlled -> its encoded input: the server's own
+    `unmask_sum` over that survivor alone, with every other client that
+    completed key sharing counted as dropped.  The sk1 of each such client and
+    the survivor's sk2 are rebuilt from the shares the controlled clients
+    hold.  Raises ThresholdError when they hold fewer than k shares."""
     server = run.server
-    recovered = {}
-    for cid in server.u3:
-        if cid in controlled:
-            continue
-        held = [run.clients[h].held_shares[cid] for h in controlled if cid in run.clients[h].held_shares]
-        sk1 = shamir_reconstruct([pair[0] for pair in held])
-        sk2 = shamir_reconstruct([pair[1] for pair in held])
-        pair_secrets = {
-            j: dh_shared_secret(sk1, server.adverts[j].pk1, server.params, server.tables) for j in server.u2 if j != cid
-        }
-        recovered[cid] = field_sub(server.masked[cid].masked, client_mask(cid, sk2, pair_secrets, server.dim))
-    return recovered
+    victims = [i for i in server.u3 if i not in controlled]
+    if not victims:
+        return {}
+
+    def rebuild(owner: int, key: int) -> int:  # key 0 is sk1, 1 is sk2
+        held = (run.clients[h].held_shares for h in controlled)
+        return shamir_reconstruct([shares[owner][key] for shares in held if owner in shares])
+
+    sk1 = {j: rebuild(j, 0) for j in server.u2}
+    return {i: unmask_sum(server, (i,), {j: s for j, s in sk1.items() if j != i}, {i: rebuild(i, 1)}) for i in victims}
 
 
 def _score(report: AttackReport, scenario: AttackScenario) -> AttackReport:

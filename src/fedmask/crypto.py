@@ -2,14 +2,13 @@
 Shamir threshold sharing, PRG mask expansion, and Schnorr signatures.
 
 Exponentiation runs in OpenSSL's libcrypto (1.1 or 3), the library CPython's
-`hashlib` already loads, through `ctypes`.  `modexp` keeps one context per
-modulus in a `tables` dict: a BN_CTX, the modulus, its Montgomery form and
-three scratch numbers.  A call converts the base and exponent, makes one
-`BN_mod_exp_mont` call (`BN_mod_exp` at an even modulus) and converts the
-result back.  On a 2-vCPU Intel Xeon (Python 3.11.7, OpenSSL 3.0), a 61-bit
-exponent in the 2048-bit group takes about 80 us and a 125-bit one about
-150 us, against 0.37 ms for a 61-bit one from the pure-Python fixed-base
-tables this replaced; a call in the 23-bit toy group takes about 8 us.  A
+`hashlib` already loads, through `ctypes`.  `modexp` serves odd moduli only,
+as every group here has an odd prime, and keeps one context per modulus in a
+`tables` dict: a BN_CTX, the modulus, its Montgomery form and three scratch
+numbers.  A call converts the base and exponent, makes one `BN_mod_exp_mont`
+call and converts the result back.  On a 2-vCPU Intel Xeon (Python 3.11.7,
+OpenSSL 3.0), a 61-bit exponent in the 2048-bit group takes about 80 us and a
+125-bit one about 150 us; a call in the 23-bit toy group takes about 8 us.  A
 secure-aggregation round holds one such dict for all its parties, and the
 context is freed with it.  `verify` also keeps its results in that dict, so
 a signature broadcast to every client is checked once per round; it rejects
@@ -55,6 +54,11 @@ SHARING_PRIME = MERSENNE61
 # the same field.  Exponentiation stays cheap even in the 2048-bit group.
 MAX_SECRET_EXPONENT = MERSENNE61
 
+# Signature nonces lie in [1, 2^253]: 2^128 times the largest e * sk (a 64-bit
+# challenge times a key below 2^61), so the response s = nonce + e * sk, taken
+# over the integers, hides sk (Girault, Poupard and Stern, J. Cryptology 2006).
+NONCE_BOUND = 1 << 253
+
 
 class ProtocolError(ValueError):
     """Peer-supplied value violates protocol preconditions."""
@@ -85,7 +89,6 @@ _LIBCRYPTO_SIGNATURES = {
     "BN_bin2bn": (_PTR, [_BYTES, _INT, _PTR]),
     "BN_bn2binpad": (_INT, [_PTR, _BYTES, _INT]),
     "BN_mod_exp_mont": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR]),
-    "BN_mod_exp": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR]),
 }
 
 
@@ -122,11 +125,10 @@ def _to_bn(value: int, bn: int) -> None:
 
 
 class _ModulusContext:
-    """libcrypto state for one modulus: a BN_CTX, the modulus, its
-    Montgomery form (None for an even modulus) and scratch numbers for the
-    base, the exponent and the result, all freed with this object.  The
-    scratch numbers make a context serve one thread at a time, as a round's
-    parties run one after another."""
+    """libcrypto state for one odd modulus: a BN_CTX, the modulus, its
+    Montgomery form and scratch numbers for the base, the exponent and the
+    result, all freed with this object.  The scratch numbers make a context
+    serve one thread at a time, as a round's parties run one after another."""
 
     _lib = _libcrypto  # kept on the class, so __del__ still reaches it at exit
     _ctx = _modulus = _mont = _base = _exp = _result = None
@@ -139,9 +141,8 @@ class _ModulusContext:
         for name in ("_modulus", "_base", "_exp", "_result"):
             setattr(self, name, _checked(lib.BN_new(), "BN_new"))
         _to_bn(modulus, self._modulus)
-        if modulus & 1:
-            self._mont = _checked(lib.BN_MONT_CTX_new(), "BN_MONT_CTX_new")
-            _checked(lib.BN_MONT_CTX_set(self._mont, self._modulus, self._ctx), "BN_MONT_CTX_set")
+        self._mont = _checked(lib.BN_MONT_CTX_new(), "BN_MONT_CTX_new")
+        _checked(lib.BN_MONT_CTX_set(self._mont, self._modulus, self._ctx), "BN_MONT_CTX_set")
 
     def __del__(self):
         lib = self._lib
@@ -159,13 +160,10 @@ class _ModulusContext:
         lib = self._lib
         _to_bn(base, self._base)
         _to_bn(exp, self._exp)
-        if self._mont is None:
-            _checked(lib.BN_mod_exp(self._result, self._base, self._exp, self._modulus, self._ctx), "BN_mod_exp")
-        else:
-            _checked(
-                lib.BN_mod_exp_mont(self._result, self._base, self._exp, self._modulus, self._ctx, self._mont),
-                "BN_mod_exp_mont",
-            )
+        _checked(
+            lib.BN_mod_exp_mont(self._result, self._base, self._exp, self._modulus, self._ctx, self._mont),
+            "BN_mod_exp_mont",
+        )
         _checked(lib.BN_bn2binpad(self._result, self._out, len(self._out)) >= 0, "BN_bn2binpad")
         return int.from_bytes(self._out.raw, "big")
 
@@ -173,10 +171,11 @@ class _ModulusContext:
 def modexp(base: int, exp: int, modulus: int, tables: dict) -> int:
     """base^exp mod modulus, bit-identical to pow(base, exp, modulus), by one
     libcrypto exponentiation from the modulus's context, which tables keeps
-    under ("modexp", modulus) and frees with the dict.  A non-int base,
-    exponent or modulus raises TypeError, as `pow` does."""
-    if modulus < 2:
-        raise ParameterError("modulus must be >= 2")
+    under ("modexp", modulus) and frees with the dict.  The modulus must be
+    odd and at least 3.  A non-int base, exponent or modulus raises
+    TypeError, as `pow` does."""
+    if modulus < 3 or not modulus & 1:
+        raise ParameterError("modulus must be odd and >= 3")
     if exp < 0:
         raise ParameterError("exponent must be >= 0")
     base, exp, modulus = operator.index(base), operator.index(exp), operator.index(modulus)
@@ -192,6 +191,8 @@ class DhParams:
     generator: int
 
     def __post_init__(self):
+        if self.prime < 3 or not self.prime & 1:
+            raise ParameterError("prime must be odd and >= 3")
         if not (1 < self.generator < self.prime):
             raise ParameterError("generator must lie in (1, p)")
 
@@ -382,8 +383,8 @@ def _challenge(commitment: int, message: bytes) -> int:
 
 def sign(message: bytes, sk: int, params: DhParams, tables: dict) -> Signature:
     # Deterministic nonce from (sk, message): no RNG needed, reproducible runs
-    nonce_src = hashlib.sha256(b"nonce|" + _canonical_bytes(sk) + b"|" + message).digest()
-    nonce = int.from_bytes(nonce_src, "big") % MAX_SECRET_EXPONENT + 1
+    nonce_src = hashlib.sha512(b"nonce|" + _canonical_bytes(sk) + b"|" + message).digest()
+    nonce = int.from_bytes(nonce_src, "big") % NONCE_BOUND + 1
     commitment = modexp(params.generator, nonce, params.prime, tables)
     e = _challenge(commitment, message)
     return Signature(commitment=commitment, response=nonce + e * sk)
@@ -392,19 +393,20 @@ def sign(message: bytes, sk: int, params: DhParams, tables: dict) -> Signature:
 def verify(message: bytes, sig: Signature, pk: int, params: DhParams, tables: dict) -> bool:
     """Whether sig is a Schnorr signature of message under pk: g^s == r *
     pk^e mod p for e the challenge of (r, message).  A malformed signature,
-    and a response s of 2^64 * (2^61 - 1) or more (no honest s reaches
-    it), give False before any exponentiation, so a peer can make no
-    exponentiation longer than the 125 bits of the largest honest s.
+    and a response s of 2^253 + 2^64 * (2^61 - 1) or more (no honest s
+    reaches it), give False before any exponentiation, so a peer can make no
+    exponentiation longer than the 254 bits of the largest honest s.
 
     Both exponentiations go through `modexp` with the tables dict, and the
     result is kept there under a tagged key, so every client of a round
     checking the same broadcast signature runs the check once."""
     try:
         commitment, response = sig.commitment, sig.response
-        # an honest s = nonce + e * sk lies below 2^64 * (2^61 - 1), as the
-        # nonce is at most 2^61 - 1, sk below it and e below 2^64; a larger
-        # one would cost an exponentiation as long as the peer chooses
-        if not (0 < commitment < params.prime and 0 <= response < MAX_SECRET_EXPONENT << 64):
+        # an honest s = nonce + e * sk lies below NONCE_BOUND + 2^64 *
+        # (2^61 - 1), as the nonce is at most NONCE_BOUND, sk below 2^61 - 1
+        # and e below 2^64; a larger one would cost an exponentiation as long
+        # as the peer chooses
+        if not (0 < commitment < params.prime and 0 <= response < NONCE_BOUND + (MAX_SECRET_EXPONENT << 64)):
             return False
         key = ("verify", message, commitment, response, pk, params.prime, params.generator)
         if key in tables:

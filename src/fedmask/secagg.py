@@ -9,21 +9,21 @@ every run is deterministic given its seed.
 Masks: a client adds an individual mask M2, derived from its second secret
 key, plus one pairwise mask per peer.  `client_mask` builds that sum and is
 the one home of the sign rule: for a pair (i, j) with i < j, i adds the
-common mask M_ij and j subtracts it.  The server subtracts `client_mask` once
-per survivor, using the survivor's sk2 (survivors' sk2 shares are revealed)
-and its pair secrets with the clients dropped after key sharing (only the
-dropped clients' sk1 shares are revealed); masks between two survivors
-cancel in the sum.
+common mask M_ij and j subtracts it.  `unmask_sum` is the one routine that
+strips masks: it subtracts `client_mask` once per survivor, using the
+survivor's sk2 and its pair secrets with the clients whose sk1 it is given.
+The server gives it the survivors' sk2 (survivors' sk2 shares are revealed)
+and the sk1 of the clients dropped after key sharing (only their sk1 shares
+are revealed); masks between two survivors cancel in the sum.  An adversary
+holding every key reads one survivor's input by the same call.
 
 The tables dict: `run_protocol` creates one dict per round and hands it to
 every party as its `tables` field.  It holds the round's libcrypto context
 for the group's modulus, through which `crypto.modexp` runs every
 exponentiation of the round, and the results of `crypto.verify`, so each
 broadcast signature is checked once per round (see `crypto`).  A 2048-bit
-round at n = 32 makes 2294 exponentiations, about 0.19 s of a 0.30 s round
-on a 2-vCPU Intel Xeon, where the pure-Python tables this replaced took
-about 0.75 s a round.  The dict is freed with the round, its context with
-it, and no round shares anything with another.
+round at n = 32 makes 2294 exponentiations.  The dict is freed with the
+round, its context with it, and no round shares anything with another.
 
 Aborts: a handler that rejects a message raises `ProtocolError` with the
 reason, and `client_step` or `server_step` catches it, stores it as the
@@ -468,7 +468,9 @@ def _server_after_consistency(state: ServerState) -> dict:
 def _server_after_unmask(state: ServerState) -> dict:
     if len(state.unmask) < state.k:
         raise ProtocolError("below threshold: too few unmask responses")
-    state.aggregate_field = _server_unmask_aggregate(state)
+    sk1 = {j: _reconstruct(state, j, "sk1") for j in sorted(set(state.u2) - set(state.u3))}
+    sk2 = {i: _reconstruct(state, i, "sk2") for i in state.u3}
+    state.aggregate_field = unmask_sum(state, state.u3, sk1, sk2)
     return {}
 
 
@@ -488,20 +490,19 @@ def _reconstruct(state: ServerState, owner: int, kind: str) -> int:
         raise ProtocolError(f"cannot reconstruct {kind} of client {owner}: {e}") from e
 
 
-def _server_unmask_aggregate(state: ServerState) -> FieldVector:
-    """Sum of c_i - client_mask_i over the survivors i.  Pairwise masks
-    between two survivors cancel in the sum, so each survivor's mask needs
-    only its sk2 and its pair secrets with the clients dropped after key
-    sharing, derived from their reconstructed sk1 keys.  A public key out of
-    range raises ProtocolError, which `server_step` turns into the abort."""
-    dropped_sk1 = {j: _reconstruct(state, j, "sk1") for j in sorted(set(state.u2) - set(state.u3))}
+def unmask_sum(state: ServerState, survivors, sk1: dict, sk2: dict) -> FieldVector:
+    """Sum over survivors i of c_i - client_mask(i, sk2[i], pair secrets),
+    each pair secret pk1_i^sk1[j] for a client j in sk1 (id -> sk1).  The
+    server's unmask round passes U3 and the sk1 of the clients dropped after
+    key sharing: pairwise masks between two survivors cancel in the sum.  One
+    survivor with every other client's sk1 strips that survivor's whole mask.
+    A public key out of range raises ProtocolError, which `server_step` turns
+    into the abort."""
     total = field_zero(state.dim)
-    for cid in state.u3:
-        sk2 = _reconstruct(state, cid, "sk2")
-        pk1 = state.adverts[cid].pk1
-        pair_secrets = {j: dh_shared_secret(sk1, pk1, state.params, state.tables) for j, sk1 in dropped_sk1.items()}
-        mask = client_mask(cid, sk2, pair_secrets, state.dim)
-        total = field_add(total, field_sub(state.masked[cid].masked, mask))
+    for i in survivors:
+        pk1 = state.adverts[i].pk1
+        pair_secrets = {j: dh_shared_secret(s, pk1, state.params, state.tables) for j, s in sk1.items()}
+        total = field_add(total, field_sub(state.masked[i].masked, client_mask(i, sk2[i], pair_secrets, state.dim)))
     return total
 
 

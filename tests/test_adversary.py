@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fedmask.adversary import (
     AdversaryStrategy,
     AttackScenario,
+    _recover,
     run_attack,
     run_mitm,
     run_share_compromise,
@@ -21,7 +22,8 @@ from fedmask.adversary import (
     two_party_solve,
 )
 from fedmask.crypto import RFC3526_2048, TOY_GROUP, shamir_split
-from fedmask.numeric import ParameterError, Rng, encode_fixed
+from fedmask.numeric import ParameterError, Rng, encode_fixed, field_sum
+from fedmask.secagg import run_protocol, unmask_sum
 
 
 def random_inputs(n, dim, seed=0):
@@ -99,6 +101,25 @@ def test_share_compromise_controlled_id_out_of_range():
     strategy = AdversaryStrategy(kind="share_compromise", controlled_ids=(0, 7))
     with pytest.raises(ParameterError):
         run_share_compromise(scenario, strategy)
+
+
+def test_unmask_sum_serves_the_server_and_the_share_pool_alike():
+    """A round where U1, U2 and U3 differ: client 0 never advertises, 1 drops
+    after advertising and 2 after key sharing.  The share pool of 3, 4 and 5
+    reads every other survivor exactly, and `unmask_sum` over each survivor
+    alone, with every other U2 client's sk1, sums to the server's aggregate."""
+    inputs = random_inputs(8, 5, seed=9)
+    run = run_protocol(inputs, 3, seed=9, dropout_after={0: -1, 1: 0, 2: 1}, params=TOY_GROUP)
+    server = run.server
+    assert (server.u1, server.u2, server.u3) == (tuple(range(1, 8)), tuple(range(2, 8)), tuple(range(3, 8)))
+    recovered = _recover(run, [3, 4, 5])
+    assert recovered == {i: encode_fixed(inputs[i]) for i in (6, 7)}
+    sk1 = {j: run.clients[j].kp1.sk for j in server.u2}
+    alone = [
+        unmask_sum(server, (i,), {j: s for j, s in sk1.items() if j != i}, {i: run.clients[i].kp2.sk}) for i in server.u3
+    ]
+    assert alone == [encode_fixed(inputs[i]) for i in server.u3]
+    assert field_sum(alone) == server.aggregate_field
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_modexp_matches_naive_oracle_small():
     for _ in range(100):
         base = int(rng.integers(0, 1000))
         exp = int(rng.integers(0, 200))
-        mod = int(rng.integers(2, 1000))
+        mod = 2 * int(rng.integers(1, 500)) + 1
         assert modexp(base, exp, mod, {}) == naive_modexp(base, exp, mod)
 
 
@@ -132,10 +132,8 @@ def test_modexp_validation():
         modexp(2, -1, 7, {})
 
 
-# Exponents at the edges of a windowed exponentiation: powers of two and
-# all-ones runs, alternating bits, zero runs longer than a window, and
-# exponents whose top window ends exactly at their top bit (63 ones; 101
-# shifted by a multiple of 3 over a lone window 101).
+# Exponents with edge bit patterns: powers of two and all-ones runs,
+# alternating bits, long zero runs, and 101 repeated far apart.
 EDGE_EXPONENTS = (
     7, 8, 2**61, 2**61 - 1, 2**64,
     0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA,
@@ -181,10 +179,10 @@ def test_modexp_one_tables_dict_across_bases_and_exponents():
     assert list(tables) == [("modexp", p)]
 
 
-@pytest.mark.parametrize("p", [2, 23, TOY_GROUP.prime, 2**61 - 1, 2**64 - 59])
+@pytest.mark.parametrize("p", [3, 23, TOY_GROUP.prime, 2**61 - 1, 2**64 - 59])
 def test_modexp_small_moduli_use_the_table_path(p):
-    """Moduli of 64 bits or fewer, the even modulus 2 included, run from one
-    context per modulus too, each result equal to pow."""
+    """Odd moduli of 64 bits or fewer, the smallest one 3 included, run from
+    one context per modulus too, each result equal to pow."""
     rng = Rng(4).child("small", p)
     bases = (0, 1, 2, p - 1, p, p + 3, rng.randbelow(p))
     tables = {}
@@ -196,17 +194,34 @@ def test_modexp_small_moduli_use_the_table_path(p):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    modulus=st.one_of(st.sampled_from([2, 4, 1000, 2**64, TOY_GROUP.prime, RFC3526_2048.prime]), st.integers(2, 2**300)),
+    modulus=st.one_of(
+        st.sampled_from([3, 9, 1001, 2**64 + 1, TOY_GROUP.prime, RFC3526_2048.prime]),
+        st.integers(1, 2**299).map(lambda m: 2 * m + 1),
+    ),
     base=st.integers(-(2**2100), 2**2100),
     exp=st.integers(0, 2**300),
 )
 def test_property_modexp_equals_pow(modulus, base, exp):
-    """Even and composite moduli, negative bases and bases of the modulus or
-    more, and exponents up to 2^300: one context per modulus, pow's result."""
+    """Odd moduli, composite ones among them, negative bases and bases of the
+    modulus or more, and exponents up to 2^300: one context per modulus,
+    pow's result."""
     tables = {}
     assert modexp(base, exp, modulus, tables) == pow(base, exp, modulus)
     assert modexp(-base, exp + 1, modulus, tables) == pow(-base, exp + 1, modulus)
     assert list(tables) == [("modexp", modulus)]
+
+
+@pytest.mark.parametrize(
+    "modulus", [2, 4, 1000, 2**64, 2 * RFC3526_2048.prime], ids=["2", "4", "1000", "2^64", "twice-rfc3526"]
+)
+def test_modexp_and_dh_params_reject_an_even_modulus(modulus):
+    """No group has an even prime, so neither modexp nor DhParams takes one."""
+    tables = {}
+    with pytest.raises(ParameterError):
+        modexp(3, 5, modulus, tables)
+    assert tables == {}
+    with pytest.raises(ParameterError, match="prime"):
+        DhParams(prime=modulus, generator=modulus - 1)
 
 
 def test_modexp_context_is_freed_with_its_round():
@@ -509,7 +524,7 @@ def test_transcript_known_answer():
     # pins every PRG mask and every encrypted share bundle of a round with a dropout
     inputs = [Rng(1).child(i).uniform(-1, 1, 37) for i in range(5)]
     run = secagg.run_protocol(inputs, 3, seed=11, dropout_after={0: 1}, params=TOY_GROUP)
-    assert _digest(run.transcript.to_jsonl().encode()) == "cae1e361adc4ebac"
+    assert _digest(run.transcript.to_jsonl().encode()) == "45a8138ab36b7665"
 
 
 def test_transcript_known_answer_dropouts_in_three_rounds():
@@ -520,7 +535,7 @@ def test_transcript_known_answer_dropouts_in_three_rounds():
     t = run.transcript
     assert t.included == (1, 2, 3, 4, 5)
     assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
-    assert _digest(t.to_jsonl().encode()) == "5dbb96680b28de9c"
+    assert _digest(t.to_jsonl().encode()) == "7b8e53df76720f56"
 
 
 def test_transcript_known_answer_rfc3526():
@@ -531,7 +546,7 @@ def test_transcript_known_answer_rfc3526():
     t = secagg.run_protocol(inputs, 3, seed=13, dropout_after={0: 1}, params=RFC3526_2048).transcript
     assert t.included == (1, 2, 3, 4)
     assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
-    assert _digest(t.to_jsonl().encode()) == "17a5281ec4dce3a6"
+    assert _digest(t.to_jsonl().encode()) == "5f9e6ad8eec8ad65"
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,7 +607,8 @@ def test_schnorr_big_group():
 
 
 GROUPS = pytest.mark.parametrize("params", [TOY_GROUP, RFC3526_2048], ids=["toy", "rfc3526"])
-MAX_RESPONSE = crypto.MAX_SECRET_EXPONENT << 64
+# verify's bound: the largest nonce plus the largest e * sk
+MAX_RESPONSE = crypto.NONCE_BOUND + (crypto.MAX_SECRET_EXPONENT << 64)
 
 
 @pytest.fixture
@@ -670,3 +686,25 @@ def test_verify_runs_each_check_once_per_tables_dict(modexp_calls, params):
         assert len(modexp_calls) == 2
         verify(message, sig, pk, params, {})
         assert len(modexp_calls) == 4
+
+
+@GROUPS
+def test_recorded_signatures_do_not_give_away_sk1(params):
+    """A passive observer of a round divides each advert and consistency
+    signature's response s by its challenge e: neither floor(s / e) nor any of
+    its 64 neighbours on each side reproduces the signer's pk1."""
+    inputs = [Rng(5).child(i).uniform(-1, 1, 3) for i in range(5)]
+    messages = secagg.run_protocol(inputs, 3, seed=15, params=params).transcript.messages
+    adverts = {m.sender: m for m in messages if isinstance(m, secagg.KeyAdvert)}
+    signed = [(secagg.advert_signing_bytes(i, m.pk1, m.pk2), m.sig, m.pk1) for i, m in adverts.items()] + [
+        (secagg.roster_signing_bytes(m.participants), m.sig, adverts[m.sender].pk1)
+        for m in messages
+        if isinstance(m, secagg.ConsistencySig)
+    ]
+    assert len(signed) == 10
+    tables = {}
+    for message, sig, pk1 in signed:
+        assert verify(message, sig, pk1, params, tables)
+        quotient = sig.response // crypto._challenge(sig.commitment, message)
+        for candidate in range(max(1, quotient - 64), quotient + 65):
+            assert modexp(params.generator, candidate, params.prime, tables) != pk1

@@ -267,11 +267,11 @@ def test_malformed_public_key_in_2048_bit_roster_aborts_its_recipients(monkeypat
     assert_aborted_or_exact(run.transcript, inputs)
 
 
-def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
+def test_overlong_signature_response_aborts_before_a_long_exponentiation(monkeypatch):
     """Client 1's advert signature carries the response s + 2^20000; every
     other client rejects it before raising g to it, so no exponentiation of
-    the round has an exponent of 2^64 * (2^61 - 1) or more, the bound on an
-    honest response."""
+    the round has an exponent of 2^253 + 2^64 * (2^61 - 1) or more, the bound
+    on an honest response."""
     original = secagg._client_advertise
 
     def patched(state, inbox):
@@ -296,7 +296,7 @@ def test_overlong_signature_response_aborts_before_growing_g_table(monkeypatch):
     for cid in (0, 2, 3):
         assert run.clients[cid].abort_reason == "bad keypair signature from client 1"
     assert run.transcript.aborted
-    assert exponents and max(exponents) < crypto.MAX_SECRET_EXPONENT << 64
+    assert exponents and max(exponents) < crypto.NONCE_BOUND + (crypto.MAX_SECRET_EXPONENT << 64)
 
 
 def test_split_unmask_request_cannot_reveal_a_signed_survivors_sk1(monkeypatch):
