@@ -1,6 +1,8 @@
 """Reference code and fixtures shared by several test modules; nothing in
 ``fedmask`` calls them."""
 
+import math
+
 import numpy as np
 
 from fedmask.fedcore import DpConfig, _sample_group
@@ -46,3 +48,14 @@ def loop_fd_gradient(objective, v, h):
         vm[i] -= h
         g[i] = (objective(vp) - objective(vm)) / (2.0 * h)
     return g
+
+
+def quadratic_interpolate(points, xs, prime):
+    """Values at each x in xs of the polynomial through points, (x, y) pairs
+    with distinct x, by Lagrange's formula with one product over the other
+    points per (x, point): O(k^2) per x for k points."""
+    weights = [yi * pow(math.prod(xi - xj for xj, _ in points if xj != xi), -1, prime) for xi, yi in points]
+    return [
+        sum(w * math.prod(x - xj for xj, _ in points if xj != xi) for (xi, _), w in zip(points, weights)) % prime
+        for x in xs
+    ]

@@ -2,6 +2,7 @@
 stream cipher, and Schnorr signatures."""
 
 import copy
+import ctypes
 import dataclasses
 import gc
 import hashlib
@@ -38,6 +39,7 @@ from fedmask.crypto import (
     verify,
 )
 from fedmask.numeric import FieldVector, ParameterError, Rng, encode_fixed, field_reduce, field_sum
+from oracles import quadratic_interpolate
 
 
 def naive_modexp(base, exp, modulus):
@@ -413,6 +415,19 @@ def test_property_shamir_round_trip(secret, k, extra, seed):
     assert shamir_reconstruct(shares) == secret
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_property_interpolate_matches_quadratic_formula(data):
+    # the prefix-and-suffix products give Lagrange's formula bit for bit,
+    # with query points on and off the base points
+    prime = data.draw(st.sampled_from([7919, SHARING_PRIME]))
+    k = data.draw(st.integers(1, 30))
+    bases = data.draw(st.lists(st.integers(1, 300), min_size=k, max_size=k, unique=True))
+    points = [(x, data.draw(st.integers(0, prime - 1))) for x in bases]
+    xs = data.draw(st.lists(st.integers(0, 300), max_size=31))
+    assert crypto._interpolate(points, xs, prime) == quadratic_interpolate(points, xs, prime)
+
+
 # ---------------------------------------------------------------------------
 # PRG and stream cipher
 # ---------------------------------------------------------------------------
@@ -447,9 +462,18 @@ def test_prg_prefix_stability():
     assert np.array_equal(prg_expand(42, 8192).residues, prg_expand(42, 8193).residues[:8192])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8193])
+def test_prg_expand_is_a_prefix_across_block_edges(dim):
+    # a 16-byte AES block holds two words: dims 1 and 3 end halfway into one
+    assert np.array_equal(prg_expand(7, dim).residues, prg_expand(7, 8195).residues[:dim])
+
+
 def test_stream_xor_involution():
+    # either side of one and two 16-byte AES blocks, and a bundle's 600 bytes,
+    # which end inside a block
+    assert stream_xor(5, b"") == b""
     rng = Rng(7).child("sx")
-    for n in (0, 1, 31, 32, 33, 500):
+    for n in (0, 1, 15, 16, 17, 31, 32, 33, 500, 600):
         data = bytes(int(b) for b in rng.integers(0, 256, size=max(n, 1))[:n])
         key = rng.randbelow(1 << 61)
         assert stream_xor(key, stream_xor(key, data)) == data
@@ -460,9 +484,10 @@ def test_stream_xor_key_sensitivity():
     assert stream_xor(1, data) != stream_xor(2, data)
 
 
-@pytest.mark.parametrize("m", [1, 31, 32, 33, 500])
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 31, 32, 33, 500])
 def test_stream_xor_of_a_prefix_is_a_prefix(m):
-    # 31 to 33 straddle a 32-byte edge; 500 spans four 136-byte SHAKE-256 blocks
+    # 15 to 17 and 31 to 33 straddle 16-byte AES blocks; 500 ends 4 bytes
+    # into block 31
     data = Rng(15).child("prefix").integers(0, 256, size=500).astype(np.uint8).tobytes()
     assert stream_xor(12345, data[:m]) == stream_xor(12345, data)[:m]
 
@@ -482,24 +507,53 @@ def _canonical(value: int) -> bytes:
     return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
 
 
+def aes128_block(key: bytes, block: bytes) -> bytes:
+    """AES-128 of one 16-byte block, through libcrypto's ECB mode."""
+    lib = crypto._libcrypto
+    # a prototype of its own, so no declaration on the shared handle changes
+    aes_128_ecb = ctypes.CFUNCTYPE(ctypes.c_void_p)(("EVP_aes_128_ecb", lib))
+    ctx, out, outl = lib.EVP_CIPHER_CTX_new(), ctypes.create_string_buffer(32), ctypes.c_int()
+    try:
+        assert lib.EVP_EncryptInit_ex(ctx, aes_128_ecb(), None, key, None) == 1
+        assert lib.EVP_EncryptUpdate(ctx, out, ctypes.byref(outl), block, 16) == 1
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)
+    assert outl.value == 16
+    return out.raw[:16]
+
+
+def test_aes128_block_matches_fips197():
+    # FIPS-197 Appendix C.1, the AES-128 example vector
+    plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
+    assert aes128_block(bytes(range(16)), plaintext).hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
+
+
+def reference_keystream(label: bytes, seed: int, nbytes: int) -> bytes:
+    # one 16-byte block at a time: block i is AES-128 of the counter i as 16
+    # big-endian bytes, keyed by the first 16 bytes of SHA-256(label | seed)
+    key = hashlib.sha256(label + b"|" + _canonical(seed)).digest()[:16]
+    blocks = [aes128_block(key, i.to_bytes(16, "big")) for i in range(-(-nbytes // 16))]
+    return b"".join(blocks)[:nbytes]
+
+
 def reference_prg_expand(seed, dim):
     # one word at a time: the layout prg_expand documents
-    stream = hashlib.shake_256(b"prg|" + _canonical(seed)).digest(8 * dim)
+    stream = reference_keystream(b"prg", seed, 8 * dim)
     words = [int.from_bytes(stream[8 * i : 8 * i + 8], "big") % SHARING_PRIME for i in range(dim)]
     return FieldVector(np.array(words, dtype=np.uint64))
 
 
 def reference_stream_xor(key_seed, data):
     # one byte at a time
-    keystream = hashlib.shake_256(b"stream|" + _canonical(key_seed)).digest(len(data))
+    keystream = reference_keystream(b"stream", key_seed, len(data))
     return bytes(d ^ k for d, k in zip(data, keystream))
 
 
 @pytest.mark.parametrize(
     "seed, dim, digest",
     [
-        (42, 10, "ab2f45cfa4531780"),
-        (987654321, 8193, "2abf37ce2829f7f2"),
+        (42, 10, "9f751bc6246d32c2"),
+        (987654321, 8193, "444a701f44bc28e1"),
     ],
 )
 def test_prg_known_answers(seed, dim, digest):
@@ -509,11 +563,11 @@ def test_prg_known_answers(seed, dim, digest):
 @pytest.mark.parametrize(
     "n, digest",
     [
-        (1, "bbf3f11cb5b43e70"),
-        (31, "f6476a8d19c2bb1d"),
-        (32, "3dbd3ae0678b5885"),
-        (33, "1390c2547edbec26"),
-        (500, "8b81a9102debe359"),
+        (1, "5c62e091b8c0565f"),
+        (31, "8fdaa0d34621c14b"),
+        (32, "539ba6f5f64a0536"),
+        (33, "56ff4086db709a13"),
+        (500, "518629c0890a71dc"),
     ],
 )
 def test_stream_xor_known_answers(n, digest):
@@ -524,7 +578,7 @@ def test_transcript_known_answer():
     # pins every PRG mask and every encrypted share bundle of a round with a dropout
     inputs = [Rng(1).child(i).uniform(-1, 1, 37) for i in range(5)]
     run = secagg.run_protocol(inputs, 3, seed=11, dropout_after={0: 1}, params=TOY_GROUP)
-    assert _digest(run.transcript.to_jsonl().encode()) == "45a8138ab36b7665"
+    assert _digest(run.transcript.to_jsonl().encode()) == "127c9113f1a4f661"
 
 
 def test_transcript_known_answer_dropouts_in_three_rounds():
@@ -535,7 +589,7 @@ def test_transcript_known_answer_dropouts_in_three_rounds():
     t = run.transcript
     assert t.included == (1, 2, 3, 4, 5)
     assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
-    assert _digest(t.to_jsonl().encode()) == "7b8e53df76720f56"
+    assert _digest(t.to_jsonl().encode()) == "83423b7651fc40e8"
 
 
 def test_transcript_known_answer_rfc3526():
@@ -546,7 +600,7 @@ def test_transcript_known_answer_rfc3526():
     t = secagg.run_protocol(inputs, 3, seed=13, dropout_after={0: 1}, params=RFC3526_2048).transcript
     assert t.included == (1, 2, 3, 4)
     assert t.aggregate_field == field_sum([encode_fixed(inputs[i]) for i in t.included])
-    assert _digest(t.to_jsonl().encode()) == "5f9e6ad8eec8ad65"
+    assert _digest(t.to_jsonl().encode()) == "fbfc396c3af08ebe"
 
 
 @settings(max_examples=40, deadline=None)

@@ -405,7 +405,7 @@ def without_kind(data):
         ("body", CLT_CHECK, None, "164c401a02d77d1b"),
         ("csv", CLT_CHECK, None, "afbfcfda052ccf96"),
         # the transcript file `fedmask record` writes
-        ("record", {"kind": "secagg_run", "n": 3, "k": 2, "dim": 4}, EXIT_OK, "9b452f3afe6d2e69"),
+        ("record", {"kind": "secagg_run", "n": 3, "k": 2, "dim": 4}, EXIT_OK, "f457beedbb8ed0e5"),
         # full stdout of a CLI subcommand
         ("sweep", without_kind(ALPHA_SWEEP), EXIT_OK, "89639a167d4e5c3c"),
         ("attack", without_kind(ATTACK_DEMO), EXIT_OK, "2385e51971e8b990"),
